@@ -15,7 +15,7 @@ metrics are BENCHMARK.json's end_to_end list, with --trace 1 its
 per_layer list. The exit status is 0 only when every output check passed,
 including the cross-run determinism check: the exact counters and the
 response digest of a (workload, seed) must match every earlier run of the
-same build, which are kept in <build>/ledger/.
+same sources, which are kept in <build>/ledger/<source digest>/.
 """
 
 import argparse
@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -46,8 +47,22 @@ def build_dir():
     return os.path.join(base, "qbench")
 
 
+def configured_source(out_dir):
+    """The source directory a build directory was configured for, or
+    None when it holds no configuration."""
+    try:
+        with open(os.path.join(out_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                    return line.split("=", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
 def build(out_dir):
-    """Configure once, then build the qbench targets incrementally."""
+    """Configure once per source tree, then build the qbench targets
+    incrementally."""
     if not (os.path.isfile(os.path.join(ROOT, "CMakeLists.txt"))
             and os.path.isdir(os.path.join(ROOT, "src"))):
         die("no qbasis sources next to %s (expected ../CMakeLists.txt "
@@ -55,15 +70,28 @@ def build(out_dir):
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "build.log")
     jobs = str(max(1, min(4, os.cpu_count() or 1)))
-    steps = []
-    if not os.path.isfile(os.path.join(out_dir, "CMakeCache.txt")):
-        steps.append(["cmake", "-S", HERE, "-B", out_dir,
-                      "-DCMAKE_BUILD_TYPE=Release"])
-    steps.append(["cmake", "--build", out_dir, "-j", jobs,
-                  "--target", "qbench", "qbench_selftest"])
     with open(os.path.join(out_dir, "build.lock"), "w") as lock, \
             open(log_path, "a") as log:
         fcntl.flock(lock, fcntl.LOCK_EX)
+        steps = []
+        configured = configured_source(out_dir)
+        if configured is None or os.path.realpath(configured) \
+                != os.path.realpath(HERE):
+            # A build directory configured for another checkout would
+            # compile that checkout's sources: start it afresh (the
+            # ledger is keyed by source digest and stays).
+            for entry in os.listdir(out_dir):
+                path = os.path.join(out_dir, entry)
+                if entry in ("ledger", "build.lock", "build.log"):
+                    continue
+                if os.path.isdir(path) and not os.path.islink(path):
+                    shutil.rmtree(path)
+                else:
+                    os.remove(path)
+            steps.append(["cmake", "-S", HERE, "-B", out_dir,
+                          "-DCMAKE_BUILD_TYPE=Release"])
+        steps.append(["cmake", "--build", out_dir, "-j", jobs,
+                      "--target", "qbench", "qbench_selftest"])
         for cmd in steps:
             try:
                 rc = subprocess.run(cmd, stdout=log, stderr=subprocess.STDOUT,
@@ -108,11 +136,12 @@ def clean_env():
             if not k.startswith("QBASIS_")}
 
 
-def check_ledger(out_dir, report):
+def check_ledger(out_dir, report, sources):
     """Exact counters and the response digest are pure functions of
-    (workload, seed, code): compare with the first run of this build,
-    or record this run as the reference."""
-    ledger = os.path.join(out_dir, "ledger")
+    (workload, seed, code): compare with the first run of the same
+    sources (`sources` is their digest), or record this run as the
+    reference."""
+    ledger = os.path.join(out_dir, "ledger", sources)
     os.makedirs(ledger, exist_ok=True)
     path = os.path.join(ledger, "%s-seed%d.json"
                         % (report["workload"], report["seed"]))
@@ -161,7 +190,7 @@ def run_workload(out_dir, workload, seed, seconds, trace, prov):
     problems = list(report["failures"])
     if rc != 0 and not problems:
         problems.append("qbench exited with %d" % rc)
-    problems += check_ledger(out_dir, report)
+    problems += check_ledger(out_dir, report, prov["source_digest"])
     report["failures"] = problems
     report["correct"] = not problems
     with open(report_path, "w") as f:

@@ -10,6 +10,9 @@
  * RecalibEdgeRequests.
  */
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -24,17 +27,86 @@ namespace qbench {
 /** Deterministic request stream: index -> request, id included. */
 using RequestSource = std::function<qbasis::CompileRequest(uint64_t)>;
 
-/** What every served request leaves behind (48 bytes): the harness
- *  keeps one per request, so its memory grows slowly with traffic. */
+/** Stream index offsets: segment k starts at k * kSegmentIndex, the
+ *  open loop at kOpenIndexBase. Drift-cycle passes use request ids
+ *  from kPassIndexBase on. */
+constexpr uint64_t kSegmentIndex = 1000000;
+constexpr uint64_t kPassIndexBase = 90 * kSegmentIndex;
+constexpr uint64_t kOpenIndexBase = 100 * kSegmentIndex;
+
+/** What a served request leaves behind. */
 struct Sample
 {
-    double latency_ms = 0.0; ///< Client-observed.
-    double queue_ms = 0.0;
-    double compile_ms = 0.0;
-    double snapshot_wait_ms = 0.0;
-    double done_s = 0.0; ///< Completion, from the phase start.
+    float latency_ms = 0.0f; ///< Client-observed (open loop: from due).
+    float queue_ms = 0.0f;
+    float compile_ms = 0.0f;
+    float snapshot_wait_ms = 0.0f;
+    float done_s = 0.0f; ///< Completion, from the phase start.
     qbasis::PlanServePath path = qbasis::PlanServePath::None;
     bool ok = false;
+};
+
+/**
+ * Fixed-capacity store of the samples of one traffic phase, plus a
+ * scratch column for order statistics. Both are allocated and written
+ * once, before set-up, and reused by every phase, so the harness's
+ * memory does not grow with throughput: peak_rss_mb subtracts bytes().
+ * A phase that fills the log stops (its sample budget is spent).
+ */
+class SampleLog
+{
+  public:
+    explicit SampleLog(size_t capacity)
+        : samples_(capacity), scratch_(capacity, 0.0)
+    {
+    }
+
+    void clear() { size_.store(0); }
+
+    /** Record `s` (thread-safe); false when the log is full. */
+    bool
+    append(const Sample &s)
+    {
+        const size_t i = size_.fetch_add(1);
+        if (i >= samples_.size())
+            return false;
+        samples_[i] = s;
+        return true;
+    }
+
+    size_t size() const { return std::min(size_.load(), samples_.size()); }
+    size_t capacity() const { return samples_.size(); }
+    const Sample &operator[](size_t i) const { return samples_[i]; }
+
+    /**
+     * Copy `field` of the samples that pass `keep` into the scratch
+     * column, in log order; returns how many. The column is reordered
+     * freely by the *InPlace order statistics.
+     */
+    template <typename Field, typename Keep>
+    size_t
+    column(Field field, Keep keep)
+    {
+        size_t n = 0;
+        for (size_t i = 0; i < size(); ++i) {
+            if (keep(samples_[i]))
+                scratch_[n++] = static_cast<double>(field(samples_[i]));
+        }
+        return n;
+    }
+    double *scratch() { return scratch_.data(); }
+
+    size_t
+    bytes() const
+    {
+        return samples_.size() * sizeof(Sample)
+               + scratch_.size() * sizeof(double);
+    }
+
+  private:
+    std::vector<Sample> samples_;
+    std::vector<double> scratch_;
+    std::atomic<size_t> size_{0};
 };
 
 /** A request of the fixed set every run serves: its full response. */
@@ -43,12 +115,11 @@ struct Served
     qbasis::CompileResponse resp;
 };
 
-/** Results of one closed-loop run. */
+/** Results of one closed-loop run; its samples are in the log. */
 struct ClosedLoop
 {
     PhaseCount count;
-    std::vector<Sample> samples;  ///< Every request.
-    std::vector<Served> served;   ///< The first min_requests, by id.
+    std::vector<Served> served;   ///< The first keep_served, by id.
     double wall_s = 0.0;
     double cpu_s = 0.0;
 };
@@ -58,11 +129,16 @@ struct Rung
 {
     double rate_rps = 0.0;
     PhaseCount count;
-    std::vector<double> latency_ms; ///< From each request's due time.
-    double p99_ms = 0.0;      ///< Windowed (see windowedQuantile).
+    double p50_ms = 0.0;      ///< From each request's due time.
+    double tail_q = 0.99;     ///< The quantile p99_ms holds.
+    double p99_ms = 0.0;      ///< Windowed (see windowedQuantileInPlace).
+    double max_ms = 0.0;
+    /** Median latency of the requests due in the rung's last tenth. */
+    double end_p50_ms = 0.0;
     double sent_rps = 0.0;    ///< Achieved send rate of the generator.
     double max_lag_ms = 0.0;  ///< Worst generator lateness.
     double drain_ms = 0.0;    ///< Last completion - last due time.
+    bool overloaded = false;  ///< Stopped early on a growing backlog.
     bool meets = false;       ///< p99 within the limit, no backlog.
 };
 
@@ -82,7 +158,23 @@ struct Cycle
     uint64_t window_extensions = 0;
     double busy_ms = 0.0;
     ClosedLoop pass;
+    /** Median compile_ms of the pass's responses per plan tier,
+     *  indexed by PlanServePath; NaN for an absent tier. */
+    std::array<double, 3> tier_ms{};
 };
+
+/** Closed-loop segments per run: segment 0, then one after each
+ *  gap of kCyclesPerGap drift cycles. */
+constexpr int kSegments = 6;
+constexpr int kCyclesPerGap = 2;
+
+/**
+ * The latency tail percentile of every workload, supported by every
+ * segment (see minSamplesForTail). Not p99: at tens of thousands of
+ * requests a second (zipf_serve), host stalls of a few ms (several a
+ * second on a shared VM) set the p99 of sub-millisecond latencies.
+ */
+constexpr double kTailPct = 90.0;
 
 /** Static description of one workload. */
 struct WorkloadSpec
@@ -92,16 +184,20 @@ struct WorkloadSpec
     qbasis::CompileServiceOptions service;
     /** Warm-fill requests compiled during set-up (zipf_serve). */
     std::vector<qbasis::CompileRequest> warm_fill;
-    RequestSource stream;          ///< Closed-loop traffic.
-    RequestSource stream_open;     ///< Open-loop traffic.
+    /** Closed-loop and open-loop traffic (open loop from index
+     *  kOpenIndexBase on, so its requests are fresh). */
+    RequestSource stream;
     std::vector<qbasis::CompileRequest> zoo_pass; ///< Per drift cycle.
-    double closed_share = 0.4;  ///< Of --seconds, the closed loop.
-    std::vector<double> rates;  ///< Open-loop ladder (rps).
-    double rung_share = 0.1;    ///< Of --seconds, per rung.
-    int cycles = 8;             ///< Drift cycles.
-    /** The latency tail percentile, fixed per workload and supported
-     *  by every run (see minSamplesForTail). */
-    double tail_pct = 90.0;
+    double closed_share = 0.4;  ///< Of --seconds, all closed loops.
+    double rung_share = 0.05;   ///< Of --seconds, per open-loop rung.
+    /** Open-loop latency limit, fixed per workload: a few times its
+     *  closed-loop tail, and short against a rung, so that a backlog
+     *  growing through a rung fails it. */
+    double open_limit_ms = 20.0;
+    /** Segment 0's first requests, served on every run: with the zoo
+     *  passes, the exact set (determinism digest, exact counters,
+     *  output quality). At least the fixed tail's sample size. */
+    size_t exact_requests = 100;
 };
 
 WorkloadSpec workloadSpec(const std::string &name, uint64_t seed);
@@ -116,28 +212,35 @@ std::unique_ptr<qbasis::CompileService> setUp(const WorkloadSpec &w,
 /**
  * Closed loop: `clients` threads each submit their next request only
  * after the previous one completes, drawing stream indices from one
- * counter, until `seconds` have passed AND `min_requests` were sent.
- * The first `min_requests` come back in full, sorted by request id.
+ * counter, until `seconds` have passed AND `min_requests` were sent,
+ * or the log is full. Samples go to `log` (cleared first); the first
+ * `keep_served` responses come back in full, sorted by request id.
  */
 ClosedLoop closedLoop(qbasis::CompileService &svc,
                       const RequestSource &source, int clients,
-                      double seconds, size_t min_requests);
+                      double seconds, size_t min_requests,
+                      size_t keep_served, SampleLog *log);
 
-/** Closed loop over a fixed list (every request exactly once). */
+/** Closed loop over a fixed list (every request exactly once, every
+ *  response kept). */
 ClosedLoop closedLoopList(qbasis::CompileService &svc,
                           const std::vector<qbasis::CompileRequest> &reqs,
-                          int clients);
+                          int clients, SampleLog *log);
 
 /**
- * Open-loop ladder: one generator thread sends at each fixed rate
- * for `rung_seconds`; latency runs from when a request was due. A rung
- * meets the limit when its windowed p99 is within `limit_ms` and the
- * backlog drains within a tenth of the rung.
+ * One open-loop rung: a single generator thread sends requests
+ * `first`, `first + 1`, ... of `source` at `rate` for `seconds`;
+ * latency runs from when a request was due (samples go to `log`). The
+ * rung meets the limit when every request was sent and served, and
+ * both its windowed p99 (or, on a short rung, the highest percentile
+ * with ten samples beyond it) and the median latency of the requests
+ * due in its last tenth (no growing backlog) are within `limit_ms`.
+ * It stops early once far more requests are in flight than the limit
+ * allows.
  */
-std::vector<Rung> openLadder(qbasis::CompileService &svc,
-                             const RequestSource &source,
-                             const std::vector<double> &rates,
-                             double rung_seconds, double limit_ms);
+Rung openRung(qbasis::CompileService &svc, const RequestSource &source,
+              uint64_t first, double rate, double seconds,
+              double limit_ms, SampleLog *log);
 
 /**
  * Stream seed of the device drift. The drift is part of each workload,
@@ -157,7 +260,11 @@ cycleEdges(const qbasis::FleetDriver &driver, uint64_t cycle);
 
 /** recalibrate -> drain -> retire -> zoo pass. */
 Cycle driftCycle(qbasis::CompileService &svc, const WorkloadSpec &w,
-                 uint64_t cycle);
+                 uint64_t cycle, SampleLog *log);
+
+/** Median compile_ms of the logged responses per plan tier, indexed
+ *  by PlanServePath; NaN for a tier with no response. */
+std::array<double, 3> tierMedians(SampleLog *log);
 
 /** Copy of `c` with every 1Q rotation angle shifted by a seeded
  *  amount: same shape and Weyl classes, new parameters. */

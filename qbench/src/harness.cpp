@@ -16,17 +16,22 @@ msSince(Clock::time_point t0)
 }
 
 double
-quantile(std::vector<double> v, double q)
+quantileInPlace(double *v, size_t n, double q)
 {
-    if (v.empty())
+    if (n == 0)
         return 0.0;
-    std::sort(v.begin(), v.end());
-    const double pos = std::clamp(q, 0.0, 1.0)
-                       * static_cast<double>(v.size() - 1);
+    std::sort(v, v + n);
+    const double pos = std::clamp(q, 0.0, 1.0) * static_cast<double>(n - 1);
     const size_t lo = static_cast<size_t>(std::floor(pos));
-    const size_t hi = std::min(lo + 1, v.size() - 1);
+    const size_t hi = std::min(lo + 1, n - 1);
     const double frac = pos - static_cast<double>(lo);
     return v[lo] + (v[hi] - v[lo]) * frac;
+}
+
+double
+quantile(std::vector<double> v, double q)
+{
+    return quantileInPlace(v.data(), v.size(), q);
 }
 
 double
@@ -58,31 +63,30 @@ geomean(const std::vector<double> &v)
 }
 
 double
-windowedQuantile(const std::vector<double> &v, double q, size_t window)
+windowedQuantileInPlace(double *v, size_t n, double q, size_t window)
 {
-    const size_t windows = v.size() / std::max<size_t>(1, window);
+    const size_t windows = n / std::max<size_t>(1, window);
     if (windows < 2)
-        return quantile(v, q);
+        return quantileInPlace(v, n, q);
     std::vector<double> per_window;
-    const size_t width = v.size() / windows;
+    const size_t width = n / windows;
     for (size_t w = 0; w < windows; ++w) {
-        const auto first = v.begin() + static_cast<long>(w * width);
-        const auto last =
-            w + 1 == windows ? v.end() : first + static_cast<long>(width);
-        per_window.push_back(quantile(std::vector<double>(first, last), q));
+        const size_t first = w * width;
+        const size_t last = w + 1 == windows ? n : first + width;
+        per_window.push_back(quantileInPlace(v + first, last - first, q));
     }
     return median(per_window);
 }
 
 double
-steadyRate(std::vector<double> times_s, double trim)
+steadyRateInPlace(double *times_s, size_t n, double trim)
 {
-    if (times_s.size() < 2)
+    if (n < 2)
         return 0.0;
-    std::sort(times_s.begin(), times_s.end());
-    const size_t lo = static_cast<size_t>(
-        std::floor(trim * static_cast<double>(times_s.size())));
-    const size_t hi = times_s.size() - 1 - lo;
+    std::sort(times_s, times_s + n);
+    const size_t lo =
+        static_cast<size_t>(std::floor(trim * static_cast<double>(n)));
+    const size_t hi = n - 1 - lo;
     if (hi <= lo || times_s[hi] <= times_s[lo])
         return 0.0;
     return static_cast<double>(hi - lo) / (times_s[hi] - times_s[lo]);

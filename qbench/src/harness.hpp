@@ -38,23 +38,32 @@ double mean(const std::vector<double> &v);
 /** Geometric mean of positive samples (0 when empty). */
 double geomean(const std::vector<double> &v);
 
+// The order statistics below work on [v, v + n) and reorder it instead
+// of copying it, so a large sample needs no allocation proportional
+// to its size.
+
+/** quantile() of [v, v + n), sorting it. */
+double quantileInPlace(double *v, size_t n, double q);
+
 /**
  * Quantile `q` of each run of `window` consecutive samples (the last
  * window absorbs the remainder), then the median over windows: the
  * typical tail, which stalls of the host (a few ms, a few times a
  * second on a shared VM), each confined to a few windows, do not move.
- * A sample shorter than two windows gets the plain quantile.
+ * A sample shorter than two windows gets the plain quantile. Sorts
+ * each window in place.
  */
-double windowedQuantile(const std::vector<double> &v, double q,
-                        size_t window = 100);
+double windowedQuantileInPlace(double *v, size_t n, double q,
+                               size_t window = 100);
 
 /**
  * Events per second in the steady part of a phase: the first and last
  * `trim` share of the event times (seconds from the phase start) are
  * dropped as ramp-up and drain, and the rate is the events between
- * the remaining first and last over the time between them.
+ * the remaining first and last over the time between them. Sorts the
+ * times in place.
  */
-double steadyRate(std::vector<double> times_s, double trim = 0.1);
+double steadyRateInPlace(double *times_s, size_t n, double trim = 0.1);
 
 /**
  * Smallest sample size whose percentile `pct` leaves at least

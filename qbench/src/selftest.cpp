@@ -1,9 +1,8 @@
 /**
  * @file
  * Self-test of the benchmark harness math: quantiles, the tail rule,
- * windowed tails and rates, request accounting, and span self time. run.py
- * runs it before every benchmark run; it exits non-zero on the first
- * wrong answer. Expected values are worked by hand (quantiles match
+ * windowed tails and rates, request accounting, and span self time. run.py runs it before every benchmark run; it
+ * exits non-zero if any answer is wrong. Expected values are worked by hand (quantiles match
  * numpy's default percentile).
  */
 
@@ -109,22 +108,35 @@ main()
     expectNear("coverage of no root", rootCoverage(spans, "none"), 0.0);
 
     // Windowed tail: one stalled window does not move the median of
-    // the per-window p99s.
+    // the per-window p99s. The in-place forms reorder their input, so
+    // each check gets its own copy.
+    const auto windowed = [](std::vector<double> v, double q,
+                             size_t window = 100) {
+        return windowedQuantileInPlace(v.data(), v.size(), q, window);
+    };
     std::vector<double> steady(4000, 1.0);
     for (size_t i = 0; i < 200; ++i)
         steady[i] = 50.0; // a stall across the first two windows
-    expectNear("windowed p99", windowedQuantile(steady, 0.99), 1.0);
+    expectNear("windowed p99", windowed(steady, 0.99), 1.0);
     expectNear("plain p99", quantile(steady, 0.99), 50.0);
-    expectNear("windowed max", windowedQuantile(hundred, 1.0, 10), 55.0);
-    expectNear("short sample", windowedQuantile({1, 2, 3}, 1.0), 3.0);
+    expectNear("windowed max", windowed(hundred, 1.0, 10), 55.0);
+    expectNear("short sample", windowed({1, 2, 3}, 1.0), 3.0);
+    std::vector<double> shuffled = {3, 1, 4, 1, 5, 9, 2, 6};
+    expectNear("median in place",
+               quantileInPlace(shuffled.data(), shuffled.size(), 0.5), 3.5);
+    expectEq("sorted in place",
+             shuffled.front() == 1 && shuffled.back() == 9, 1);
+    expectNear("empty in place", quantileInPlace(nullptr, 0, 0.5), 0.0);
 
     // Steady rate: 10 events/s, with a slow start and a late straggler
     // trimmed away.
     std::vector<double> times = {0.0, 5.0};
     for (int i = 0; i < 18; ++i)
         times.push_back(1.0 + 0.1 * i);
-    expectNear("steady rate", steadyRate(times), 10.0, 1e-9);
-    expectNear("rate of one event", steadyRate({1.0}), 0.0);
+    expectNear("steady rate", steadyRateInPlace(times.data(), times.size()),
+               10.0, 1e-9);
+    double one = 1.0;
+    expectNear("rate of one event", steadyRateInPlace(&one, 1), 0.0);
 
     // The recorder nests by call order.
     Tracer tracer;

@@ -79,35 +79,67 @@ const std::vector<std::string> kCnotFamilies = {"rcs", "adder_chain"};
 constexpr std::array<int, 5> kZooWidths = {8, 10, 12, 14, 16};
 
 /**
- * One zoo circuit with fresh parameters drawn from `rng`:
- *  - ising and heisenberg: a fresh RZZ angle, so new Weyl classes;
- *  - rcs: a fresh gate-sampling seed, so a new shape;
- *  - adder_chain: seeded X gates load random addends, so a new shape.
- * No two draws share a shape and parameters, so each misses the plan
- * tier the first time it is served.
+ * One zoo circuit:
+ *  - ising and heisenberg: RZZ angle `theta`, so new Weyl classes for
+ *    every new angle;
+ *  - rcs: gate-sampling seed `seed`, so a new shape for every seed;
+ *  - adder_chain: X gates load the addend bits `addends`, so a new
+ *    shape for every distinct value.
  */
 Circuit
-zooCircuit(const std::string &family, int width, Rng &rng,
-           std::string *name, bool clifford = false)
+zooCircuit(const std::string &family, int width, double theta,
+           uint64_t seed, uint64_t addends, std::string *name)
 {
     WorkloadParams p;
     p.qubits = width;
-    p.depth = 1;
-    p.theta = clifford ? M_PI / 2.0 : rng.uniform(0.2, 1.4);
-    p.seed = rng.next();
-    if (family == "rcs")
-        p.depth = 3;
+    p.depth = family == "rcs" ? 3 : 1;
+    p.theta = theta;
+    p.seed = seed;
     *name = family + std::to_string(width);
     if (family != "adder_chain")
         return qbasis::makeWorkload(family, p);
 
-    Circuit addends(width);
+    Circuit loaded(width);
     for (int q = 0; q < width; ++q) {
-        if (rng.uniform() < 0.5)
-            addends.x(q);
+        if ((addends >> q) & 1u)
+            loaded.x(q);
     }
-    addends.extend(qbasis::makeWorkload(family, p));
-    return addends;
+    loaded.extend(qbasis::makeWorkload(family, p));
+    return loaded;
+}
+
+/**
+ * RZZ angle of stream block `block` for one (family, width) slot: a
+ * golden-ratio sequence over [0.2, 1.4] from a seeded start. Every
+ * angle is new, and any run's angles cover the range evenly whatever
+ * the seed, so synthesis work (which depends on the angle) varies
+ * little from seed to seed.
+ */
+double
+streamAngle(uint64_t seed, size_t slot, uint64_t block)
+{
+    constexpr double kGolden = 0.61803398874989485;
+    Rng start(Rng::deriveSeed(seed ^ 0xa4c1e5ull, slot));
+    const double u = start.uniform() + kGolden * static_cast<double>(block);
+    return 0.2 + 1.2 * (u - std::floor(u));
+}
+
+/**
+ * Addend bits of the `width`-qubit adder_chain request of stream block
+ * `block`: an affine bijection of the block number modulo 2^width (odd
+ * multiplier), so the first 2^width blocks never load the same addends
+ * twice. The exact-checked prefix of a run lies well inside them, so
+ * it holds no exact repeat whose plan tier would depend on whether
+ * its first copy had finished (a memo entry exists only once a compile
+ * completes).
+ */
+uint64_t
+addendBits(uint64_t seed, int width, uint64_t block)
+{
+    const uint64_t w = static_cast<uint64_t>(width);
+    const uint64_t a = Rng::deriveSeed(seed, 0xadd0ull + w) | 1u;
+    const uint64_t b = Rng::deriveSeed(seed, 0xadd1ull + w);
+    return (a * block + b) & ((1ull << w) - 1);
 }
 
 /**
@@ -129,9 +161,11 @@ zooStreamCircuit(const std::vector<std::string> &families, uint64_t seed,
     for (size_t i = block_size - 1; i > 0; --i)
         std::swap(order[i], order[shuffle.uniformInt(i + 1)]);
     const size_t slot = order[index % block_size];
-    Rng rng(Rng::deriveSeed(seed ^ 0x5eedc01dull, index));
-    return zooCircuit(families[slot / kZooWidths.size()],
-                      kZooWidths[slot % kZooWidths.size()], rng, name);
+    const int width = kZooWidths[slot % kZooWidths.size()];
+    return zooCircuit(families[slot / kZooWidths.size()], width,
+                      streamAngle(seed, slot, block),
+                      Rng::deriveSeed(seed ^ 0x5eedc01dull, index),
+                      addendBits(seed, width, block), name);
 }
 
 /**
@@ -150,7 +184,9 @@ zooPass(const CompileServiceOptions &s, uint64_t seed,
     for (const std::string &family : kZooFamilies) {
         for (const int width : widths) {
             std::string name;
-            Circuit c = zooCircuit(family, width, rng, &name, true);
+            const uint64_t seed_rcs = rng.next();
+            Circuit c = zooCircuit(family, width, M_PI / 2.0, seed_rcs,
+                                   rng.next(), &name);
             pass.push_back(fleetRequest(s, 0, 0, name, std::move(c)));
         }
     }
@@ -253,19 +289,6 @@ zipfRank(uint64_t seed, uint64_t index, Rng *rng)
     return rank;
 }
 
-/** Open-loop traffic of cold_zoo and drift_cycle: repeats of the zoo
- *  pass, which the plan tier serves from the memo once the last drift
- *  cycle has settled. */
-RequestSource
-repeatsOf(const std::vector<CompileRequest> &pass)
-{
-    return [pass](uint64_t i) {
-        CompileRequest req = pass[i % pass.size()];
-        req.request_id = 3000000 + i;
-        return req;
-    };
-}
-
 WorkloadSpec
 coldZoo(uint64_t seed)
 {
@@ -280,12 +303,10 @@ coldZoo(uint64_t seed)
         return fleetRequest(s, 1 + i, 0, name, std::move(c));
     };
     w.zoo_pass = zooPass(s, seed, {12});
-    w.closed_share = 0.4;
-    w.stream_open = repeatsOf(w.zoo_pass);
-    w.rates = {2000.0, 4000.0, 8000.0};
-    w.rung_share = 0.15;
-    w.cycles = 8;
-    w.tail_pct = 90.0;
+    w.closed_share = 0.55;
+    w.rung_share = 0.07;
+    w.open_limit_ms = 300.0;
+    w.exact_requests = 100;
     return w;
 }
 
@@ -320,12 +341,10 @@ zipfServe(uint64_t seed)
         return fleetRequest(s, 1 + i, static_cast<int>(rank % 2), name,
                             std::move(c));
     };
-    w.closed_share = 0.3;
-    w.stream_open = w.stream;
-    w.rates = {8000.0, 16000.0, 24000.0};
-    w.rung_share = 0.2;
-    w.cycles = 8;
-    w.tail_pct = 99.0;
+    w.closed_share = 0.45;
+    w.rung_share = 0.05;
+    w.open_limit_ms = 20.0;
+    w.exact_requests = 1000;
     return w;
 }
 
@@ -349,11 +368,9 @@ driftCycleWorkload(uint64_t seed)
     };
     w.zoo_pass = zooPass(s, seed, {8, 10, 12, 14, 16});
     w.closed_share = 0.4;
-    w.stream_open = repeatsOf(w.zoo_pass);
-    w.rates = {1000.0, 2000.0, 4000.0};
-    w.rung_share = 0.15;
-    w.cycles = 12;
-    w.tail_pct = 90.0;
+    w.rung_share = 0.05;
+    w.open_limit_ms = 50.0;
+    w.exact_requests = 400;
     return w;
 }
 
