@@ -165,8 +165,8 @@ struct Cycle
 
 /** Closed-loop segments per run: segment 0, then one after each
  *  gap of kCyclesPerGap drift cycles. */
-constexpr int kSegments = 6;
-constexpr int kCyclesPerGap = 2;
+constexpr int kSegments = 10;
+constexpr int kCyclesPerGap = 1;
 
 /**
  * The latency tail percentile of every workload, supported by every

@@ -397,9 +397,10 @@ runWorkload(const Args &args)
     std::unique_ptr<CompileService> svc = timedSetUp();
 
     // -- Traffic: closed-loop segments 0..kSegments-1, each later one
-    // after a gap of drift cycles, then the open-loop ladder. A host
-    // slowdown of a few seconds then hits one or two segments, and the
-    // end-to-end closed-loop figures are medians over them.
+    // after a gap of drift cycles, then (traced runs) the open-loop
+    // ladder. A host slowdown of a few seconds then hits one or two
+    // segments, and the end-to-end closed-loop figures are medians
+    // over them.
     // Every segment runs at least this many requests, enough for the
     // fixed tail percentile; segment 0 at least the exact set's.
     const size_t always = minSamplesForTail(kTailPct);
@@ -457,8 +458,9 @@ runWorkload(const Args &args)
     const double peak_rss_mb =
         peakRssMb() - static_cast<double>(log.bytes()) / (1024.0 * 1024.0);
 
-    // -- Open-loop ladder, in shares of the closed-loop capacity (the
-    // median segment rate): a reference rung at kReferenceShare, then a
+    // -- Open-loop ladder, traced runs only (its answers are per-layer
+    // metrics), in shares of the closed-loop capacity (the median
+    // segment rate): a reference rung at kReferenceShare, then a
     // bisection for the highest rate that meets the limit, below
     // kSearchHigh. The answer is the service's own figure, to a
     // resolution of (kSearchHigh - kReferenceShare) / 2^kSearchRungs.
@@ -478,11 +480,13 @@ runWorkload(const Args &args)
             sla_rps = std::max(sla_rps, rungs.back().sent_rps);
         return rungs.back().meets;
     };
-    double lo = rung(kReferenceShare) ? kReferenceShare : 0.0;
-    double hi = kSearchHigh;
-    for (int i = 0; i < kSearchRungs; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        (rung(mid) ? lo : hi) = mid;
+    if (args.trace) {
+        double lo = rung(kReferenceShare) ? kReferenceShare : 0.0;
+        double hi = kSearchHigh;
+        for (int i = 0; i < kSearchRungs; ++i) {
+            const double mid = 0.5 * (lo + hi);
+            (rung(mid) ? lo : hi) = mid;
+        }
     }
 
     std::vector<PhaseCount> pass_counts;
@@ -673,8 +677,10 @@ runWorkload(const Args &args)
     // The ladder's answer (see above), and the p99 at the reference
     // rate. Both are per-layer: on cold_zoo the answer is too noisy to
     // gate (see README.md).
-    report.metric("sla_rate_rps", sla_rps, "1/s");
-    report.metric("open_p99_ms", rungs.front().p99_ms, "ms");
+    if (!rungs.empty()) {
+        report.metric("sla_rate_rps", sla_rps, "1/s");
+        report.metric("open_p99_ms", rungs.front().p99_ms, "ms");
+    }
     double edges = 0.0, retune_ms = 0.0;
     std::vector<double> cycle_ms;
     for (const Cycle &c : cycles) {

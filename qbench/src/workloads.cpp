@@ -303,7 +303,7 @@ coldZoo(uint64_t seed)
         return fleetRequest(s, 1 + i, 0, name, std::move(c));
     };
     w.zoo_pass = zooPass(s, seed, {12});
-    w.closed_share = 0.55;
+    w.closed_share = 0.9;
     w.rung_share = 0.07;
     w.open_limit_ms = 300.0;
     w.exact_requests = 100;
@@ -341,7 +341,7 @@ zipfServe(uint64_t seed)
         return fleetRequest(s, 1 + i, static_cast<int>(rank % 2), name,
                             std::move(c));
     };
-    w.closed_share = 0.45;
+    w.closed_share = 0.75;
     w.rung_share = 0.05;
     w.open_limit_ms = 20.0;
     w.exact_requests = 1000;
@@ -367,7 +367,7 @@ driftCycleWorkload(uint64_t seed)
         return fleetRequest(s, 1 + i, 0, name, std::move(c));
     };
     w.zoo_pass = zooPass(s, seed, {8, 10, 12, 14, 16});
-    w.closed_share = 0.4;
+    w.closed_share = 1.0;
     w.rung_share = 0.05;
     w.open_limit_ms = 50.0;
     w.exact_requests = 400;
