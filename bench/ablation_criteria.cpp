@@ -45,8 +45,8 @@ main()
                             criterionName(crit), copts);
         DecompositionCache cache;
         const GateSetSummary s = summarizeGateSet(
-            device, set, cache, SynthOptions{}, kOneQubitNs,
-            kCoherenceNs);
+            device, set, {SynthEngine::shared(), cache}, SynthOptions{},
+            kOneQubitNs, kCoherenceNs);
         double min_ep = 1.0;
         for (int e = 0; e < copts.edge_limit; ++e) {
             min_ep = std::min(

@@ -3,7 +3,7 @@
  * Fleet-scale benchmark: calibrates, summarizes, and compiles a
  * fleet of simulated devices through the shard-parallel FleetDriver
  * and measures cross-device Weyl-class sharing in the process-wide
- * SharedDecompositionCache. Emits BENCH_fleet.json for the CI bench
+ * DecompositionCache. Emits BENCH_fleet.json for the CI bench
  * gate (scripts/check_bench.py).
  *
  * Fleet layout: devices are built in pairs sharing a grid seed, so
@@ -98,7 +98,7 @@ struct FleetBenchResult
     int devices = 0;
     int shards = 0;
     double wall_ms = 0.0;
-    SharedDecompositionCache::Stats cache;
+    DecompositionCache::Stats cache;
 
     uint64_t
     lookups() const

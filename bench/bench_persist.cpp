@@ -166,7 +166,7 @@ struct PassResult
 {
     double wall_ms = 0.0;
     FleetCompilePass pass;
-    SharedDecompositionCache::Stats stats;
+    DecompositionCache::Stats stats;
 };
 
 /** Time one compile pass over the whole fleet. */

@@ -215,7 +215,7 @@ planCompilePass(FleetDriver &driver,
             req.options.t_coherence_ns =
                 driver.options().t_coherence_ns;
             const CompileResponse resp = runCompile(
-                state.device, state.calibration, SynthRoute(client),
+                state.device, state.calibration, client,
                 req, &driver.planCache());
             if (resp.status != CompileStatus::Ok)
                 throw std::runtime_error(resp.error);
@@ -275,7 +275,7 @@ struct PointResult
     PassStats post;
     double recalib_ms = 0.0;
     int recalibrated_edges = 0;
-    SharedDecompositionCache::Stats cache;
+    DecompositionCache::Stats cache;
     size_t classes_retired = 0;
     uint64_t plans_retired = 0;
     size_t snapshot_bytes = 0;

@@ -80,6 +80,7 @@ main()
         device, kStrongXi, SelectionCriterion::Criterion2,
         "criterion2", calibrationOptions(30.0));
 
+    SynthEngine &engine = SynthEngine::shared();
     DecompositionCache cache_b, cache_1, cache_2;
     const TranspileOptions topts;
 
@@ -98,17 +99,11 @@ main()
         req.options.t_1q_ns = kOneQubitNs;
         req.options.t_coherence_ns = kCoherenceNs;
         const CompiledCircuitResult rb =
-            runCompile(device, baseline,
-                       SynthRoute::local(&cache_b), req)
-                .result;
+            runCompile(device, baseline, {engine, cache_b}, req).result;
         const CompiledCircuitResult r1 =
-            runCompile(device, crit1, SynthRoute::local(&cache_1),
-                       req)
-                .result;
+            runCompile(device, crit1, {engine, cache_1}, req).result;
         const CompiledCircuitResult r2 =
-            runCompile(device, crit2, SynthRoute::local(&cache_2),
-                       req)
-                .result;
+            runCompile(device, crit2, {engine, cache_2}, req).result;
         table.addRow({row.name, fmtPercent(rb.fidelity, 3),
                       fmtPercent(r1.fidelity, 3),
                       fmtPercent(r2.fidelity, 3),
@@ -147,6 +142,6 @@ main()
                 hit_rate(cache_1), cache_2.size(),
                 static_cast<unsigned long long>(cache_2.hits()),
                 hit_rate(cache_2),
-                SynthEngine::shared().threadCount());
+                engine.threadCount());
     return 0;
 }

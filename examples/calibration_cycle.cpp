@@ -12,7 +12,7 @@
 #include "calib/protocol.hpp"
 #include "core/criteria.hpp"
 #include "sim/device.hpp"
-#include "synth/cache.hpp"
+#include "synth/engine.hpp"
 #include "weyl/gates.hpp"
 #include "weyl/invariants.hpp"
 
@@ -52,11 +52,14 @@ main()
 
     std::printf("\n[per-cycle decomposition cache]\n");
     DecompositionCache cache;
+    const SynthClient client{SynthEngine::shared(), cache};
     const SynthOptions synth;
-    const auto &swap_dec =
-        cache.getOrSynthesize(0, swapGate(), tuneup.gate, synth);
-    const auto &cnot_dec =
-        cache.getOrSynthesize(0, cnotGate(), tuneup.gate, synth);
+    const std::vector<TwoQubitDecomposition> decs =
+        client.synthesizeBatch({{0, swapGate(), tuneup.gate},
+                                {0, cnotGate(), tuneup.gate}},
+                               synth);
+    const TwoQubitDecomposition &swap_dec = decs[0];
+    const TwoQubitDecomposition &cnot_dec = decs[1];
     std::printf("  SWAP: %d layers (infidelity %.1e); CNOT: %d "
                 "layers (infidelity %.1e)\n", swap_dec.layers(),
                 swap_dec.infidelity, cnot_dec.layers(),
@@ -80,8 +83,9 @@ main()
 
     // The cache is rebuilt against the refreshed gate.
     cache.clear();
-    const auto &swap2 =
-        cache.getOrSynthesize(0, swapGate(), r.gate, synth);
+    const TwoQubitDecomposition swap2 =
+        client.synthesizeBatch({{0, swapGate(), r.gate}}, synth)
+            .front();
     std::printf("  new cycle cache: SWAP again %d layers "
                 "(infidelity %.1e)\n", swap2.layers(),
                 swap2.infidelity);

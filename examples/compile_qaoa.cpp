@@ -55,16 +55,14 @@ main()
     std::printf("\nQAOA instance: %d qubits, %zu RZZ gates\n",
                 qaoa.numQubits(), qaoa.count(GateKind::RZZ));
 
+    SynthEngine &engine = SynthEngine::shared();
     DecompositionCache cache_b, cache_n;
     CompileRequest req(1, 0, "qaoa", qaoa);
     const CompiledCircuitResult rb =
-        runCompile(device, baseline, SynthRoute::local(&cache_b), req)
-            .result;
+        runCompile(device, baseline, {engine, cache_b}, req).result;
     req.request_id = 2;
     const CompiledCircuitResult rn =
-        runCompile(device, nonstandard, SynthRoute::local(&cache_n),
-                   req)
-            .result;
+        runCompile(device, nonstandard, {engine, cache_n}, req).result;
 
     TextTable results({"basis set", "fidelity", "makespan (us)",
                        "2Q gates", "swaps"});

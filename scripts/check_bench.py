@@ -13,9 +13,10 @@ bench/baselines.json:
   * cross-device sharing floors for multi-device fleets,
   * recalibration: sync-vs-overlapped bit-determinism, end-to-end
     speedup, overlap ratio, and a zero-compile-path-stall ceiling,
-  * persistence: warm-start speedup and hit rate, warm/cold
-    bit-identical reports, corrupt-snapshot rejection, and the
-    retirement sweep shrinking the snapshot,
+  * persistence: the snapshot format version the code writes (exact),
+    warm-start speedup and hit rate, warm/cold bit-identical reports,
+    corrupt-snapshot rejection, and the retirement sweep shrinking
+    the snapshot,
   * mat4 kernels: scalar-vs-SIMD bit-identity on every kernel, and
     speedup floors (per kernel and geomean) that apply only when the
     SIMD backend is available on the runner (simd_available),
@@ -272,6 +273,13 @@ def check_persist(bench, base, gate):
     if floors.get("require_corrupt_rejected"):
         gate.require(
             "persist.corrupt_rejected", bench.get("corrupt_rejected")
+        )
+    want = floors.get("format_version")
+    if want is not None:
+        got = bench.get("snapshot", {}).get("format_version")
+        gate.check(
+            "persist.snapshot.format_version", got, f"== {want}",
+            got == want,
         )
     floor = floors.get("min_warm_speedup")
     if floor is not None:

@@ -82,7 +82,7 @@ struct RecalibScheduler::Task
 };
 
 RecalibScheduler::RecalibScheduler(ThreadPool &pool,
-                                   SharedDecompositionCache &cache,
+                                   DecompositionCache &cache,
                                    RecalibSchedulerOptions opts)
     : pool_(pool), cache_(cache), opts_(std::move(opts)),
       epoch_(std::chrono::steady_clock::now())
@@ -317,7 +317,7 @@ RecalibScheduler::stageResynthesize(const std::shared_ptr<Task> &task)
             const TwoQubitDecomposition *dec = nullptr;
             switch (cache_.acquire(key, task->job.device_id, 1,
                                    &dec)) {
-            case SharedDecompositionCache::Claim::Owner: {
+            case DecompositionCache::Claim::Owner: {
                 // The guard abandons the claim if synthesis throws,
                 // so a waiter re-claims instead of blocking forever.
                 ClaimGuard guard(&cache_, key);
@@ -332,12 +332,12 @@ RecalibScheduler::stageResynthesize(const std::shared_ptr<Task> &task)
                 }
                 break;
             }
-            case SharedDecompositionCache::Claim::Ready: {
+            case DecompositionCache::Claim::Ready: {
                 std::lock_guard<std::mutex> lock(mutex_);
                 ++stats_.presynth_ready;
                 break;
             }
-            case SharedDecompositionCache::Claim::Pending: {
+            case DecompositionCache::Claim::Pending: {
                 std::lock_guard<std::mutex> lock(mutex_);
                 ++stats_.presynth_pending;
                 break;

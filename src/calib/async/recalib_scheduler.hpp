@@ -18,7 +18,7 @@
  *   2. *select*    -- first-intersection basis-gate selection on the
  *      sampled trajectory (core/selector);
  *   3. *resynthesize + publish* -- warm the SWAP/CNOT Weyl classes
- *      of the *new* basis through SharedDecompositionCache's
+ *      of the *new* basis through DecompositionCache's
  *      claim/publish protocol (never wait(): pool workers must not
  *      block, and a Pending class is already being synthesized by
  *      its claim owner), then atomically swap the edge's
@@ -135,7 +135,7 @@ class RecalibScheduler
 {
   public:
     /** Pool and cache must outlive the scheduler. */
-    RecalibScheduler(ThreadPool &pool, SharedDecompositionCache &cache,
+    RecalibScheduler(ThreadPool &pool, DecompositionCache &cache,
                      RecalibSchedulerOptions opts = {});
 
     /** Drains before destruction (swallows nothing: terminate-safe
@@ -227,7 +227,7 @@ class RecalibScheduler
     void noteStage(double t0_ms);
 
     ThreadPool &pool_;
-    SharedDecompositionCache &cache_;
+    DecompositionCache &cache_;
     RecalibSchedulerOptions opts_;
     std::chrono::steady_clock::time_point epoch_;
 

@@ -165,33 +165,17 @@ summarizeFromDecompositions(
 
 GateSetSummary
 summarizeGateSet(const GridDevice &device, const CalibratedBasisSet &set,
-                 DecompositionCache &cache, const SynthOptions &synth,
-                 double t_1q_ns, double t_coherence_ns)
-{
-    // Batch the whole device sweep (SWAP + CNOT per edge) through
-    // the engine: distinct Weyl classes synthesize in parallel,
-    // repeated basis gates collapse onto shared cache lines.
-    const CouplingMap &cm = device.coupling();
-    const std::vector<TwoQubitDecomposition> decs =
-        SynthEngine::shared().synthesizeBatch(
-            gateSetRequests(cm, set), cache, synth);
-    return summarizeFromDecompositions(cm, set, decs, t_1q_ns,
-                                       t_coherence_ns);
-}
-
-GateSetSummary
-summarizeGateSet(const GridDevice &device, const CalibratedBasisSet &set,
                  const SynthClient &client, const SynthOptions &synth,
                  double t_1q_ns, double t_coherence_ns)
 {
+    // Batch the whole device sweep (SWAP + CNOT per edge): distinct
+    // Weyl classes synthesize in parallel, repeated basis gates
+    // collapse onto shared cache lines.
     const CouplingMap &cm = device.coupling();
     const std::vector<TwoQubitDecomposition> decs =
         client.synthesizeBatch(gateSetRequests(cm, set), synth);
     return summarizeFromDecompositions(cm, set, decs, t_1q_ns,
                                        t_coherence_ns);
 }
-
-// The compileAndScore shims (deprecated Table II entry points) are
-// defined in serve/api.cpp on top of runCompile.
 
 } // namespace qbasis

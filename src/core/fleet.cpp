@@ -337,8 +337,7 @@ fleetReportDigest(const FleetReport &report)
 
 FleetDriver::FleetDriver(FleetOptions opts)
     : opts_(std::move(opts)),
-      pool_(opts_.threads),
-      cache_(opts_.cache_stripes)
+      pool_(opts_.threads)
 {
 }
 
@@ -385,7 +384,7 @@ FleetDriver::runDevice(int device_id, const FleetDeviceSpec &spec,
         const CompileRequest req =
             fleetRequest(opts_, fc, device_id);
         const CompileResponse resp = runCompile(
-            device, report.set, SynthRoute(client), req);
+            device, report.set, client, req);
         if (resp.status != CompileStatus::Ok)
             throw std::runtime_error(resp.error);
         cr.result = resp.result;
@@ -764,7 +763,7 @@ FleetDriver::compileCircuits(const std::vector<FleetCircuit> &circuits)
             const CompileRequest req = fleetRequest(opts_, fc, d);
             const CompileResponse resp =
                 runCompile(state.device, state.calibration,
-                           SynthRoute(client), req);
+                           client, req);
             if (resp.status != CompileStatus::Ok)
                 throw std::runtime_error(resp.error);
             VersionedCompileResult r;
@@ -813,7 +812,7 @@ FleetDriver::cycleReport(uint64_t cycle,
             cr.name = fc.name;
             const CompileRequest req = fleetRequest(opts_, fc, d);
             const CompileResponse resp = runCompile(
-                state.device, *snap.set, SynthRoute(client), req);
+                state.device, *snap.set, client, req);
             if (resp.status != CompileStatus::Ok)
                 throw std::runtime_error(resp.error);
             cr.result = resp.result;

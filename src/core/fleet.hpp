@@ -7,7 +7,7 @@
  * summarized (Table I), and compiled against (Table II) concurrently.
  *
  * The driver owns one process-wide ThreadPool and one process-wide
- * SharedDecompositionCache. Devices are dealt round-robin onto
+ * DecompositionCache. Devices are dealt round-robin onto
  * `shards` shard threads; each shard runs its devices in increasing
  * device order through its own SynthEngine that *borrows* the shared
  * pool. Every synthesis job, regardless of originating device, lands
@@ -36,9 +36,9 @@
 #include "calib/async/recalib_scheduler.hpp"
 #include "core/experiment.hpp"
 #include "core/recalib.hpp"
+#include "synth/cache.hpp"
 #include "synth/cache_io.hpp"
 #include "synth/plan_cache.hpp"
-#include "synth/shared_cache.hpp"
 
 namespace qbasis {
 
@@ -76,8 +76,6 @@ struct FleetOptions
     int shards = 0;
     /** Workers in the shared pool; 0 = hardware concurrency. */
     int threads = 0;
-    /** Lock stripes of the shared cache. */
-    int cache_stripes = 16;
     /** Fleet master seed (per-device drift streams derive from it). */
     uint64_t seed = 2022;
     DeviceCalibrationOptions calib; ///< Per-device calibration.
@@ -133,7 +131,7 @@ struct FleetReport
      *  failures also count into the HealthReport, whose fixed-fault-
      *  seed contract covers them. */
     std::vector<FleetDeviceStatus> statuses;
-    SharedDecompositionCache::Stats cache;  ///< Cumulative stats.
+    DecompositionCache::Stats cache;  ///< Cumulative stats.
     int shards = 0;
     double wall_ms = 0.0;
 
@@ -436,7 +434,7 @@ class FleetDriver
 
     /**
      * Warm-start: merge a snapshot into the shared cache (existing
-     * entries win; see SharedDecompositionCache::insertLoaded) and
+     * entries win; see DecompositionCache::insertLoaded) and
      * open the warm-hit-rate window. Loaded classes are bit-identical
      * to freshly synthesized ones and re-dress through the same
      * canonicalKakDecompose() path, so a warm compile pass reproduces
@@ -481,7 +479,7 @@ class FleetDriver
      *  counts, live/dead split, warm hit rate). */
     CacheManifest cacheManifest() const;
 
-    SharedDecompositionCache &cache() { return cache_; }
+    DecompositionCache &cache() { return cache_; }
     /** Fleet-wide transpile-plan cache (tier above the Weyl-class
      *  cache; see synth/plan_cache.hpp). The serving layer consults
      *  it through runCompile's PlanCache overload. */
@@ -516,7 +514,7 @@ class FleetDriver
 
     FleetOptions opts_;
     ThreadPool pool_;
-    SharedDecompositionCache cache_;
+    DecompositionCache cache_;
     PlanCache plan_cache_;
     std::vector<std::unique_ptr<FleetDeviceState>> devices_;
     std::unique_ptr<RecalibScheduler> recalib_;

@@ -269,10 +269,16 @@ clearTrace()
     std::lock_guard<std::mutex> lock(reg.mutex);
     auto it = reg.buffers.begin();
     while (it != reg.buffers.end()) {
-        std::lock_guard<std::mutex> buf_lock((*it)->mutex);
-        (*it)->next = 0;
-        (*it)->recorded = 0;
-        if ((*it)->retired)
+        bool retired;
+        {
+            std::lock_guard<std::mutex> buf_lock((*it)->mutex);
+            (*it)->next = 0;
+            (*it)->recorded = 0;
+            retired = (*it)->retired;
+        }
+        // Erase only after the buffer lock is released: erasing may
+        // drop the last reference and free the mutex it guards.
+        if (retired)
             it = reg.buffers.erase(it);
         else
             ++it;

@@ -5,15 +5,10 @@
  * @file
  * The unified compile request/response API.
  *
- * Before this layer existed, every caller picked from an
- * overload zoo: two `transpileCircuit` overloads, two (plus one
- * versioned) `compileAndScore` overloads, and hand-threaded
- * `SynthClient` construction. This header collapses all of that into
- * three value types — CompileRequest in, CompileOptions inside,
+ * Three value types — CompileRequest in, CompileOptions inside,
  * CompileResponse out — consumed identically by the batch
  * `FleetDriver::compileCircuits` path and the streaming
- * `CompileService` (serve/compile_service.hpp). The old entry points
- * survive as `[[deprecated]]` shims defined in serve/api.cpp.
+ * `CompileService` (serve/compile_service.hpp).
  *
  * Determinism contract: a CompileResponse is a pure function of
  * (CompileRequest, calibrated basis set at the served epoch,
@@ -131,8 +126,8 @@ uint64_t compileRequestFingerprint(const CompileRequest &req);
 /**
  * Compile one request against a frozen calibrated set.
  *
- * The single compile entry point: transpile via `route` (local cache
- * or fleet shared cache — see SynthRoute), schedule ASAP against the
+ * The single compile entry point: transpile via `client` (engine +
+ * Weyl-class cache — see SynthClient), schedule ASAP against the
  * set's per-edge durations, and score with the paper's e^{-t/T}
  * model. Pipeline exceptions are contained into status == Failed
  * (with `error` = what()) rather than thrown, because a serving
@@ -144,7 +139,7 @@ uint64_t compileRequestFingerprint(const CompileRequest &req);
  */
 CompileResponse runCompile(const GridDevice &device,
                            const CalibratedBasisSet &set,
-                           const SynthRoute &route,
+                           const SynthClient &client,
                            const CompileRequest &req);
 
 /**
@@ -154,7 +149,7 @@ CompileResponse runCompile(const GridDevice &device,
  */
 CompileResponse runCompile(const GridDevice &device,
                            const VersionedBasisSet &calibration,
-                           const SynthRoute &route,
+                           const SynthClient &client,
                            const CompileRequest &req);
 
 /**
@@ -179,7 +174,7 @@ CompileResponse runCompile(const GridDevice &device,
  */
 CompileResponse runCompile(const GridDevice &device,
                            const VersionedBasisSet &calibration,
-                           const SynthRoute &route,
+                           const SynthClient &client,
                            const CompileRequest &req, PlanCache *plans);
 
 } // namespace qbasis

@@ -215,7 +215,7 @@ CompileService::serveOne(PendingRequest &pending,
         // runCompile contains pipeline errors into status == Failed;
         // this try only guards pre-pipeline faults (unknown device).
         resp = runCompile(state.device, state.calibration,
-                          SynthRoute(client), pending.req,
+                          client, pending.req,
                           opts_.plan_cache ? &driver_.planCache()
                                            : nullptr);
     } catch (const std::exception &e) {

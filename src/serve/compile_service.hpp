@@ -19,7 +19,7 @@
  *    FIFO order, up to `max_batch` requests per round, and compile
  *    them through one SynthEngine per round on the driver's shared
  *    pool. Every synthesis of every request lands in the fleet-wide
- *    SharedDecompositionCache, so concurrent clients compiling
+ *    DecompositionCache, so concurrent clients compiling
  *    against byte-identical bases dedupe onto one Weyl-class
  *    synthesis — cross-request coalescing is structural, not
  *    heuristic.

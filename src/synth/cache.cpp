@@ -1,8 +1,13 @@
 #include "synth/cache.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "util/logging.hpp"
+#include "util/rng.hpp"
 #include "weyl/gates.hpp"
 
 namespace qbasis {
@@ -30,6 +35,39 @@ struct Fnv
         static_assert(sizeof(bits) == sizeof(v), "double width");
         std::memcpy(&bits, &v, sizeof(bits));
         mix(bits);
+    }
+};
+
+/** Spread the class key over the stripes (splitmix derivation). */
+uint64_t
+hashKey(const DecompositionCache::ClassKey &key)
+{
+    uint64_t h =
+        Rng::deriveSeed(key.context, static_cast<uint64_t>(key.qx));
+    h = Rng::deriveSeed(h, static_cast<uint64_t>(key.qy));
+    return Rng::deriveSeed(h, static_cast<uint64_t>(key.qz));
+}
+
+/** Registry mirrors of the cache's hit/miss atomics plus the
+ *  claim-protocol traffic counters. */
+struct CacheMetrics
+{
+    Counter &hits;
+    Counter &misses;
+    Counter &waits;
+    Counter &publishes;
+    Counter &abandons;
+
+    static CacheMetrics &
+    instance()
+    {
+        MetricsRegistry &reg = MetricsRegistry::instance();
+        static CacheMetrics m{reg.counter("cache.hits"),
+                              reg.counter("cache.misses"),
+                              reg.counter("cache.waits"),
+                              reg.counter("cache.publishes"),
+                              reg.counter("cache.abandons")};
+        return m;
     }
 };
 
@@ -102,21 +140,6 @@ DecompositionCache::classGate(const ClassKey &key)
                          static_cast<double>(key.qz) * kCoordQuantum);
 }
 
-const TwoQubitDecomposition *
-DecompositionCache::peekClass(const ClassKey &key) const
-{
-    const auto it = cache_.find(key);
-    return it == cache_.end() ? nullptr : &it->second;
-}
-
-void
-DecompositionCache::storeClass(const ClassKey &key,
-                               TwoQubitDecomposition dec)
-{
-    ++misses_;
-    cache_[key] = std::move(dec);
-}
-
 TwoQubitDecomposition
 DecompositionCache::dressClassDecomposition(
     const TwoQubitDecomposition &cls, const CanonicalKak &kak,
@@ -147,28 +170,260 @@ DecompositionCache::dressClassDecomposition(
     return d;
 }
 
-TwoQubitDecomposition
-DecompositionCache::getOrSynthesize(int edge_id, const Mat4 &target,
-                                    const Mat4 &basis,
-                                    const SynthOptions &opts)
+void
+DecompositionCache::Entry::credit(int device, uint64_t lookups)
 {
-    (void)edge_id; // subsumed by the basis hash in the class key
-    const CanonicalKak kak = canonicalKakDecompose(target);
-    const ClassKey key = classKey(kak.coords, basis, opts);
-    if (const TwoQubitDecomposition *cls = peekClass(key)) {
-        ++hits_;
-        return dressClassDecomposition(*cls, kak, target);
+    for (auto &dl : device_lookups) {
+        if (dl.first == device) {
+            dl.second += lookups;
+            return;
+        }
     }
-    storeClass(key, synthesizeGate(classGate(key), basis, opts));
-    return dressClassDecomposition(*peekClass(key), kak, target);
+    device_lookups.emplace_back(device, lookups);
+}
+
+DecompositionCache::Stripe &
+DecompositionCache::stripeOf(const ClassKey &key)
+{
+    return stripes_[hashKey(key) % kStripes];
+}
+
+const DecompositionCache::Stripe &
+DecompositionCache::stripeOf(const ClassKey &key) const
+{
+    return stripes_[hashKey(key) % kStripes];
+}
+
+DecompositionCache::Claim
+DecompositionCache::acquire(const ClassKey &key, int device,
+                            uint64_t lookups,
+                            const TwoQubitDecomposition **out)
+{
+    QBASIS_TRACE_SCOPE("cache.claim", "context", key.context);
+    CacheMetrics &metrics = CacheMetrics::instance();
+    Stripe &s = stripeOf(key);
+    std::lock_guard<std::mutex> lock(s.mutex);
+    auto [it, inserted] = s.entries.try_emplace(key);
+    it->second.credit(device, lookups);
+    if (inserted) {
+        // One miss for the claim; the remaining batched lookups of
+        // this class are hits against the about-to-exist entry.
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        metrics.misses.add();
+        if (lookups > 1) {
+            hits_.fetch_add(lookups - 1, std::memory_order_relaxed);
+            metrics.hits.add(lookups - 1);
+        }
+        return Claim::Owner;
+    }
+    if (it->second.ready) {
+        hits_.fetch_add(lookups, std::memory_order_relaxed);
+        metrics.hits.add(lookups);
+        if (out != nullptr)
+            *out = &it->second.dec;
+        return Claim::Ready;
+    }
+    return Claim::Pending;
+}
+
+const TwoQubitDecomposition *
+DecompositionCache::publish(const ClassKey &key,
+                            TwoQubitDecomposition dec)
+{
+    QBASIS_TRACE_SCOPE("cache.publish", "context", key.context);
+    CacheMetrics::instance().publishes.add();
+    Stripe &s = stripeOf(key);
+    std::lock_guard<std::mutex> lock(s.mutex);
+    const auto it = s.entries.find(key);
+    if (it == s.entries.end() || it->second.ready)
+        panic("DecompositionCache: publish without a claim");
+    it->second.dec = std::move(dec);
+    it->second.ready = true;
+    s.cv.notify_all();
+    return &it->second.dec;
+}
+
+void
+DecompositionCache::abandon(const ClassKey &key)
+{
+    CacheMetrics::instance().abandons.add();
+    Stripe &s = stripeOf(key);
+    std::lock_guard<std::mutex> lock(s.mutex);
+    const auto it = s.entries.find(key);
+    if (it == s.entries.end() || it->second.ready)
+        return; // already published or never claimed: nothing to undo
+    s.entries.erase(it);
+    s.cv.notify_all();
+}
+
+const TwoQubitDecomposition *
+DecompositionCache::wait(const ClassKey &key, uint64_t lookups)
+{
+    // The span brackets the whole blocking wait: on a slow-tail
+    // trace, time spent here is time spent waiting for another
+    // client's claim, not this request's own synthesis.
+    QBASIS_TRACE_SCOPE("cache.wait", "context", key.context);
+    CacheMetrics &metrics = CacheMetrics::instance();
+    metrics.waits.add();
+    Stripe &s = stripeOf(key);
+    std::unique_lock<std::mutex> lock(s.mutex);
+    for (;;) {
+        const auto it = s.entries.find(key);
+        if (it == s.entries.end())
+            return nullptr; // owner abandoned; caller re-acquires
+        if (it->second.ready) {
+            hits_.fetch_add(lookups, std::memory_order_relaxed);
+            metrics.hits.add(lookups);
+            return &it->second.dec;
+        }
+        s.cv.wait(lock);
+    }
+}
+
+const TwoQubitDecomposition *
+DecompositionCache::peekPublished(const ClassKey &key) const
+{
+    const Stripe &s = stripeOf(key);
+    std::lock_guard<std::mutex> lock(s.mutex);
+    const auto it = s.entries.find(key);
+    if (it == s.entries.end() || !it->second.ready)
+        return nullptr;
+    return &it->second.dec;
+}
+
+DecompositionCache::Stats
+DecompositionCache::stats() const
+{
+    Stats st;
+    st.hits = hits_.load();
+    st.misses = misses_.load();
+    for (const auto &stripe : stripes_) {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        for (const auto &[key, entry] : stripe.entries) {
+            (void)key;
+            if (!entry.ready)
+                continue;
+            ++st.classes;
+            if (entry.device_lookups.empty())
+                continue; // loaded from a snapshot, never looked up
+            if (entry.device_lookups.size() > 1)
+                ++st.multi_device_classes;
+            // Everything beyond the lowest-numbered device's own
+            // lookups was served across devices.
+            int min_device = entry.device_lookups.front().first;
+            uint64_t total = 0, min_dev_lookups = 0;
+            for (const auto &[dev, n] : entry.device_lookups) {
+                total += n;
+                if (dev < min_device) {
+                    min_device = dev;
+                    min_dev_lookups = n;
+                } else if (dev == min_device) {
+                    min_dev_lookups = n;
+                }
+            }
+            st.cross_device_hits += total - min_dev_lookups;
+        }
+    }
+    return st;
+}
+
+size_t
+DecompositionCache::size() const
+{
+    size_t n = 0;
+    for (const auto &stripe : stripes_) {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        for (const auto &[key, entry] : stripe.entries) {
+            (void)key;
+            if (entry.ready)
+                ++n;
+        }
+    }
+    return n;
+}
+
+std::vector<std::pair<DecompositionCache::ClassKey,
+                      TwoQubitDecomposition>>
+DecompositionCache::exportEntries() const
+{
+    std::vector<std::pair<ClassKey, TwoQubitDecomposition>> out;
+    for (const auto &stripe : stripes_) {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        for (const auto &[key, entry] : stripe.entries) {
+            if (entry.ready)
+                out.emplace_back(key, entry.dec);
+        }
+    }
+    // Stripe order interleaves keys; sort so the export (and hence
+    // the snapshot bytes) depends only on the entry set.
+    std::sort(out.begin(), out.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first < b.first;
+              });
+    return out;
+}
+
+void
+DecompositionCache::forEachPublished(
+    const std::function<void(const ClassKey &,
+                             const TwoQubitDecomposition &)> &fn)
+    const
+{
+    for (const auto &stripe : stripes_) {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        for (const auto &[key, entry] : stripe.entries) {
+            if (entry.ready)
+                fn(key, entry.dec);
+        }
+    }
+}
+
+bool
+DecompositionCache::insertLoaded(const ClassKey &key,
+                                 TwoQubitDecomposition dec)
+{
+    Stripe &s = stripeOf(key);
+    std::lock_guard<std::mutex> lock(s.mutex);
+    auto [it, inserted] = s.entries.try_emplace(key);
+    if (!inserted)
+        return false; // existing entry (ready or claimed) wins
+    it->second.dec = std::move(dec);
+    it->second.ready = true;
+    return true;
+}
+
+size_t
+DecompositionCache::retireExcept(
+    const std::vector<uint64_t> &live_contexts)
+{
+    size_t dropped = 0;
+    for (auto &stripe : stripes_) {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        for (auto it = stripe.entries.begin();
+             it != stripe.entries.end();) {
+            const bool live = std::binary_search(
+                live_contexts.begin(), live_contexts.end(),
+                it->first.context);
+            if (!live && it->second.ready) {
+                it = stripe.entries.erase(it);
+                ++dropped;
+            } else {
+                ++it;
+            }
+        }
+    }
+    return dropped;
 }
 
 void
 DecompositionCache::clear()
 {
-    cache_.clear();
-    hits_ = 0;
-    misses_ = 0;
+    for (auto &stripe : stripes_) {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        stripe.entries.clear();
+    }
+    hits_.store(0);
+    misses_.store(0);
 }
 
 } // namespace qbasis

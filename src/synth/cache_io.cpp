@@ -594,7 +594,7 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
 }
 
 CacheIoResult
-saveCacheSnapshot(const SharedDecompositionCache &cache,
+saveCacheSnapshot(const DecompositionCache &cache,
                   const std::string &path)
 {
     std::vector<CacheSnapshotEntry> entries = cache.exportEntries();
@@ -617,7 +617,7 @@ saveCacheSnapshot(const SharedDecompositionCache &cache,
 }
 
 CacheIoResult
-saveCacheSnapshot(const SharedDecompositionCache &cache,
+saveCacheSnapshot(const DecompositionCache &cache,
                   const PlanCache &plans, const std::string &path)
 {
     std::vector<CacheSnapshotEntry> entries = cache.exportEntries();
@@ -657,14 +657,14 @@ readFileBytes(const std::string &path, std::vector<uint8_t> *out)
 
 CacheIoResult
 loadCacheSnapshot(const std::string &path,
-                  SharedDecompositionCache &cache)
+                  DecompositionCache &cache)
 {
     return loadCacheSnapshot(path, cache, nullptr);
 }
 
 CacheIoResult
 loadCacheSnapshot(const std::string &path,
-                  SharedDecompositionCache &cache, PlanCache *plans)
+                  DecompositionCache &cache, PlanCache *plans)
 {
     std::vector<uint8_t> bytes;
     if (!readFileBytes(path, &bytes))

@@ -66,8 +66,8 @@
 #include <string>
 #include <vector>
 
+#include "synth/cache.hpp"
 #include "synth/plan_cache.hpp"
-#include "synth/shared_cache.hpp"
 
 namespace qbasis {
 
@@ -169,12 +169,12 @@ bool readFileBytes(const std::string &path, std::vector<uint8_t> *out);
 
 /** Snapshot every published class of `cache` to `path` (empty plans
  *  section). */
-CacheIoResult saveCacheSnapshot(const SharedDecompositionCache &cache,
+CacheIoResult saveCacheSnapshot(const DecompositionCache &cache,
                                 const std::string &path);
 
 /** Snapshot published classes AND the plan tier to `path`. Memo
  *  entries are not persisted (see PlanCache::exportPlans). */
-CacheIoResult saveCacheSnapshot(const SharedDecompositionCache &cache,
+CacheIoResult saveCacheSnapshot(const DecompositionCache &cache,
                                 const PlanCache &plans,
                                 const std::string &path);
 
@@ -185,14 +185,14 @@ CacheIoResult saveCacheSnapshot(const SharedDecompositionCache &cache,
  * claim/publish dedupe protocol is unaffected by a concurrent load.
  */
 CacheIoResult loadCacheSnapshot(const std::string &path,
-                                SharedDecompositionCache &cache);
+                                DecompositionCache &cache);
 
 /** Load classes and (when `plans` is non-null) merge persisted
  *  transpile plans too -- resident plans win, mirroring the class
  *  merge. CacheIoResult::merged counts classes only; plan merges are
  *  visible through PlanCache::stats().loaded. */
 CacheIoResult loadCacheSnapshot(const std::string &path,
-                                SharedDecompositionCache &cache,
+                                DecompositionCache &cache,
                                 PlanCache *plans);
 
 } // namespace qbasis

@@ -24,7 +24,7 @@
  * with byte-identical coordinates, so exact keying loses none of
  * them.
  *
- * In-flight dedupe mirrors SharedDecompositionCache: the first
+ * In-flight dedupe mirrors DecompositionCache: the first
  * client to miss computes the verdict outside the lock while
  * concurrent clients for the same key wait on the condition
  * variable. Waiting inside pool workers is safe because the owner is

@@ -4,9 +4,9 @@
 #include <climits>
 #include <condition_variable>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <string>
 
@@ -476,67 +476,6 @@ SynthEngine::resetStats()
 std::vector<TwoQubitDecomposition>
 SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
                              DecompositionCache &cache,
-                             const SynthOptions &opts,
-                             TaskPriority priority)
-{
-    const size_t n = requests.size();
-    std::vector<TwoQubitDecomposition> results(n);
-    if (n == 0)
-        return results;
-    QBASIS_TRACE_SCOPE("synth.batch", "requests", n);
-    SynthMetrics::instance().batches.add();
-    SynthMetrics::instance().requests.add(n);
-
-    // Phase 1: canonical KAK of every target (embarrassingly
-    // parallel; deterministic because results land in per-index
-    // slots).
-    std::vector<CanonicalKak> kaks(n);
-    pool_->parallelFor(n, [&](size_t i) {
-        kaks[i] = canonicalKakDecompose(requests[i].target);
-    });
-
-    // Phase 2: dedupe into class jobs, in request order so job
-    // indices (and therefore cache insertion order) are deterministic.
-    std::vector<DecompositionCache::ClassKey> keys(n);
-    std::set<DecompositionCache::ClassKey> scheduled;
-    std::vector<std::unique_ptr<ClassJob>> jobs;
-    for (size_t i = 0; i < n; ++i) {
-        keys[i] = DecompositionCache::classKey(kaks[i].coords,
-                                               requests[i].basis, opts);
-        if (cache.peekClass(keys[i]) || !scheduled.insert(keys[i]).second)
-            continue;
-        auto job = std::make_unique<ClassJob>();
-        job->key = keys[i];
-        job->class_gate = DecompositionCache::classGate(keys[i]);
-        job->basis = requests[i].basis;
-        jobs.push_back(std::move(job));
-    }
-
-    // Phase 3: batch the depth-oracle verdicts through the pool,
-    // then run all jobs to completion and insert in job order
-    // (= first-appearance order) so cache contents never depend on
-    // completion order.
-    prefetchDepthVerdicts(*pool_, opts, jobs);
-    runJobsOnPool(*pool_, opts, jobs, priority, restarts_run_,
-                  restarts_pruned_, restarts_failed_);
-    for (auto &job : jobs)
-        cache.storeClass(job->key, std::move(job->result));
-    cache.noteHits(n - jobs.size());
-
-    // Phase 4: dress every request from its class decomposition.
-    pool_->parallelFor(n, [&](size_t i) {
-        const TwoQubitDecomposition *cls = cache.peekClass(keys[i]);
-        if (cls == nullptr)
-            panic("SynthEngine: class missing after batch");
-        results[i] = DecompositionCache::dressClassDecomposition(
-            *cls, kaks[i], requests[i].target);
-    });
-    return results;
-}
-
-std::vector<TwoQubitDecomposition>
-SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
-                             SharedDecompositionCache &cache,
                              const SynthOptions &opts, int device_id,
                              TaskPriority priority)
 {
@@ -583,10 +522,10 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
     for (const ClassKey &key : order) {
         const TwoQubitDecomposition *dec = nullptr;
         switch (cache.acquire(key, device_id, lookups[key], &dec)) {
-        case SharedDecompositionCache::Claim::Ready:
+        case DecompositionCache::Claim::Ready:
             resolved[key] = dec;
             break;
-        case SharedDecompositionCache::Claim::Owner: {
+        case DecompositionCache::Claim::Owner: {
             auto job = std::make_unique<ClassJob>();
             job->key = key;
             job->class_gate = DecompositionCache::classGate(key);
@@ -595,7 +534,7 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
             guards.emplace_back(&cache, key);
             break;
         }
-        case SharedDecompositionCache::Claim::Pending:
+        case DecompositionCache::Claim::Pending:
             pending.push_back(key);
             break;
         }
@@ -626,9 +565,9 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
             // the serial fallback publishes the same bytes the owner
             // would have.
             switch (cache.acquire(key, device_id, 0, &dec)) {
-            case SharedDecompositionCache::Claim::Ready:
+            case DecompositionCache::Claim::Ready:
                 break;
-            case SharedDecompositionCache::Claim::Owner: {
+            case DecompositionCache::Claim::Owner: {
                 ClaimGuard guard(&cache, key);
                 faultPoint(kFaultSynthFallback, key.context);
                 dec = cache.publish(
@@ -638,7 +577,7 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
                 guard.release();
                 break;
             }
-            case SharedDecompositionCache::Claim::Pending:
+            case DecompositionCache::Claim::Pending:
                 dec = cache.wait(key, 0);
                 break;
             }

@@ -24,10 +24,11 @@
  *  - if a wave fails, the job advances one depth and launches the
  *    next wave (waves of different jobs interleave freely).
  *
- * Results are bit-identical to the serial path for a fixed seed,
- * independent of thread count and completion order: restart streams
- * are derived (not shared), selection is by index rather than by
- * completion time, and cache insertion happens in submission order.
+ * Results are bit-identical to synthesizeGate() on each class gate
+ * for a fixed seed, independent of thread count and completion
+ * order: restart streams are derived (not shared), selection is by
+ * index rather than by completion time, and classes publish in
+ * first-appearance order.
  *
  * Batches accept a TaskPriority: recalibration resynthesis submits
  * at TaskPriority::Background so its waves never outcompete
@@ -37,11 +38,9 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "synth/cache.hpp"
-#include "synth/shared_cache.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qbasis {
@@ -69,35 +68,26 @@ class SynthEngine
     explicit SynthEngine(ThreadPool &pool);
 
     /**
-     * Synthesize every request, using and filling `cache`.
+     * Synthesize every request on behalf of device `device_id`,
+     * using and filling `cache`.
      *
      * Returns one decomposition per request, in request order. The
      * cache's hit/miss counters advance exactly as if the requests
-     * had been looked up serially in order.
-     */
-    std::vector<TwoQubitDecomposition>
-    synthesizeBatch(const std::vector<SynthRequest> &requests,
-                    DecompositionCache &cache,
-                    const SynthOptions &opts,
-                    TaskPriority priority = TaskPriority::Normal);
-
-    /**
-     * Multi-client batch submission against the fleet-wide shared
-     * cache, on behalf of device `device_id`.
+     * had been looked up one by one in order.
      *
      * Safe to call concurrently from multiple (non-pool) threads on
      * the same engine or on sibling engines sharing the pool. Classes
      * already claimed by a concurrent batch are awaited rather than
-     * re-synthesized, so each class is synthesized once per process.
-     * Results are bit-identical to the single-device path for a fixed
-     * SynthOptions::seed, independent of shard count, as long as
-     * clients sharing a class hash use byte-identical basis matrices
-     * (true for replicated fleet devices; sub-1e-9 basis differences
-     * would share the class anyway by construction of the key).
+     * re-synthesized, so each class is synthesized once per cache.
+     * Results are bit-identical for a fixed SynthOptions::seed,
+     * independent of client count, as long as clients sharing a
+     * class hash use byte-identical basis matrices (true for
+     * replicated fleet devices; sub-1e-9 basis differences would
+     * share the class anyway by construction of the key).
      */
     std::vector<TwoQubitDecomposition>
     synthesizeBatch(const std::vector<SynthRequest> &requests,
-                    SharedDecompositionCache &cache,
+                    DecompositionCache &cache,
                     const SynthOptions &opts, int device_id = 0,
                     TaskPriority priority = TaskPriority::Normal);
 
@@ -141,16 +131,21 @@ class SynthEngine
 };
 
 /**
- * One synthesis client: a device's submissions routed through a
- * (per-shard) engine into the fleet-wide shared cache. Experiment
- * drivers, the transpiler, and the bench drivers all submit through
- * this handle, which is what lets identical bases on different
- * devices dedupe onto one synthesis.
+ * The one synthesis route: a device's submissions, on one lane,
+ * through an engine into a Weyl-class cache. The transpiler, the
+ * compile API, the experiment drivers, and the benches all submit
+ * through this handle. A fleet hands every device the same cache, so
+ * identical bases on different devices dedupe onto one synthesis; a
+ * standalone caller passes its own unshared cache, usually with
+ * SynthEngine::shared() as the engine.
+ *
+ * The client never owns what it points at; the engine and cache must
+ * outlive every call made through it.
  */
 struct SynthClient
 {
     SynthEngine &engine;
-    SharedDecompositionCache &cache;
+    DecompositionCache &cache;
     int device_id = 0;
     /** Lane of this client's pool submissions; recalibration clients
      *  use Background so they never starve compile-path batches. */
@@ -165,61 +160,8 @@ struct SynthClient
     }
 };
 
-/**
- * Unified synthesis routing handle for the compile API.
- *
- * Historically every compile entry point picked its own synthesis
- * plumbing: the serial transpiler took a raw `DecompositionCache *`
- * (null = synthesize inline without caching), while the fleet path
- * hand-threaded a `SynthClient` (engine + shared cache + device id +
- * lane). A SynthRoute is either of those behind one value type, so
- * one `transpileCircuit` / `runCompile` signature serves both worlds:
- *
- *   SynthRoute{}             — private per-call cache (the old
- *                              default-options path); whether waves
- *                              run on SynthEngine::shared() or
- *                              serially in-thread is still governed
- *                              by TranspileOptions::parallel_synth;
- *   SynthRoute::local(&c)    — same, but into a caller-owned cache
- *                              shared across circuits of one
- *                              calibration cycle;
- *   SynthRoute(client)       — fleet path: batches submitted through
- *                              the client's engine into the
- *                              fleet-wide SharedDecompositionCache.
- *
- * The route never owns what it points at; everything referenced must
- * outlive the compile call.
- */
-class SynthRoute
-{
-  public:
-    /** Local route with a private, per-call cache. */
-    SynthRoute() = default;
-
-    /** Fleet route through a shared-cache client. */
-    explicit SynthRoute(const SynthClient &client) : client_(client) {}
-
-    /** Local route into a caller-owned cache (must be non-null). */
-    static SynthRoute local(DecompositionCache *cache)
-    {
-        SynthRoute r;
-        r.local_cache_ = cache;
-        return r;
-    }
-
-    bool isFleet() const { return client_.has_value(); }
-
-    /** Fleet client; only valid when isFleet(). */
-    const SynthClient &client() const { return *client_; }
-
-    /** Caller-owned local cache, or null for a private one; only
-     *  meaningful when !isFleet(). */
-    DecompositionCache *localCache() const { return local_cache_; }
-
-  private:
-    std::optional<SynthClient> client_;
-    DecompositionCache *local_cache_ = nullptr;
-};
+/** The benchmark in qbench/ spells the route by its pre-merge name. */
+using SynthRoute = SynthClient;
 
 } // namespace qbasis
 

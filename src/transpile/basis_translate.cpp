@@ -126,38 +126,6 @@ collectSynthRequests(const Circuit &physical, const CouplingMap &cm,
 Circuit
 translateToEdgeBases(const Circuit &physical, const CouplingMap &cm,
                      const std::vector<EdgeBasis> &bases,
-                     DecompositionCache &cache,
-                     const SynthOptions &synth_opts,
-                     BasisTranslationStats *stats, SynthEngine *engine)
-{
-    if (bases.size() != cm.edges().size())
-        fatal("edge basis table size %zu != edge count %zu",
-              bases.size(), cm.edges().size());
-
-    // With an engine, batch-synthesize every 2Q gate's decomposition
-    // up front (deduped by Weyl class, fanned over the pool);
-    // otherwise decompositions are pulled from the cache on demand.
-    std::vector<TwoQubitDecomposition> batched;
-    if (engine != nullptr) {
-        batched = engine->synthesizeBatch(
-            collectSynthRequests(physical, cm, bases), cache,
-            synth_opts);
-    }
-    return emitTranslation(
-        physical, cm, bases, stats,
-        [&](const Gate &g, int eid, size_t idx) {
-            return engine != nullptr
-                       ? std::move(batched[idx])
-                       : cache.getOrSynthesize(
-                             eid, orientedTarget(g, cm, eid),
-                             bases[static_cast<size_t>(eid)].gate,
-                             synth_opts);
-        });
-}
-
-Circuit
-translateToEdgeBases(const Circuit &physical, const CouplingMap &cm,
-                     const std::vector<EdgeBasis> &bases,
                      const SynthClient &client,
                      const SynthOptions &synth_opts,
                      BasisTranslationStats *stats)
@@ -166,8 +134,8 @@ translateToEdgeBases(const Circuit &physical, const CouplingMap &cm,
         fatal("edge basis table size %zu != edge count %zu",
               bases.size(), cm.edges().size());
 
-    // Fleet path: always batched, against the shared cross-device
-    // cache, on the client's shard engine.
+    // Batch-synthesize every 2Q gate's decomposition up front
+    // (deduped by Weyl class, fanned over the client's pool).
     std::vector<TwoQubitDecomposition> batched = client.synthesizeBatch(
         collectSynthRequests(physical, cm, bases), synth_opts);
     return emitTranslation(physical, cm, bases, stats,

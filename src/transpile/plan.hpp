@@ -151,7 +151,7 @@ TranspilePlan captureTranspilePlan(
     const SynthOptions &synth_opts);
 
 /** Published-class lookup used during replay (no synthesis, no cache
- *  mutation; pointer validity per SharedDecompositionCache rules). */
+ *  mutation; pointer validity per DecompositionCache rules). */
 using PlanClassLookup = std::function<const TwoQubitDecomposition *(
     const DecompositionCache::ClassKey &)>;
 

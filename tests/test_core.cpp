@@ -227,11 +227,15 @@ TEST_F(SmallDeviceExperiment, SummaryMatchesPaperShapes)
 {
     DecompositionCache cache;
     const SynthOptions synth;
-    const GateSetSummary ns = summarizeGateSet(
-        device(), nonstandardSet(), cache, synth, 20.0, 80e3);
+    const GateSetSummary ns =
+        summarizeGateSet(device(), nonstandardSet(),
+                         {SynthEngine::shared(), cache}, synth, 20.0,
+                         80e3);
     DecompositionCache cache2;
-    const GateSetSummary base = summarizeGateSet(
-        device(), baselineSet(), cache2, synth, 20.0, 80e3);
+    const GateSetSummary base =
+        summarizeGateSet(device(), baselineSet(),
+                         {SynthEngine::shared(), cache2}, synth, 20.0,
+                         80e3);
 
     // SWAP in 3 layers on both sets; durations follow the paper's
     // model n*t2q + (n+1)*t1q.
@@ -258,9 +262,9 @@ TEST_F(SmallDeviceExperiment, CompiledCircuitFidelityOrdering)
     const CompileRequest req(1, 0, "bv4", bench);
 
     const CompileResponse resp_ns = runCompile(
-        device(), nonstandardSet(), SynthRoute::local(&cache_ns), req);
+        device(), nonstandardSet(), {SynthEngine::shared(), cache_ns}, req);
     const CompileResponse resp_base = runCompile(
-        device(), baselineSet(), SynthRoute::local(&cache_base), req);
+        device(), baselineSet(), {SynthEngine::shared(), cache_base}, req);
     ASSERT_EQ(resp_ns.status, CompileStatus::Ok);
     ASSERT_EQ(resp_base.status, CompileStatus::Ok);
     const CompiledCircuitResult &ns = resp_ns.result;

@@ -199,7 +199,7 @@ TEST_F(FaultTest, ThrowingClaimantReleasesClaimAndAWaiterReclaims)
     // (here: its ClaimGuard is destroyed without release()) must wake
     // the waiter with nullptr so exactly one waiter re-claims --
     // synthesized-once semantics without a deadlock.
-    SharedDecompositionCache cache(4);
+    DecompositionCache cache;
     DecompositionCache::ClassKey key{};
     key.context = 0xfeedULL;
     key.qx = 1;
@@ -208,21 +208,21 @@ TEST_F(FaultTest, ThrowingClaimantReleasesClaimAndAWaiterReclaims)
 
     const TwoQubitDecomposition *dec = nullptr;
     ASSERT_EQ(cache.acquire(key, 0, 1, &dec),
-              SharedDecompositionCache::Claim::Owner);
+              DecompositionCache::Claim::Owner);
 
     std::atomic<bool> waiter_pending{false};
     std::atomic<bool> waiter_reclaimed{false};
     std::thread waiter([&] {
         const TwoQubitDecomposition *d = nullptr;
         ASSERT_EQ(cache.acquire(key, 1, 1, &d),
-                  SharedDecompositionCache::Claim::Pending);
+                  DecompositionCache::Claim::Pending);
         waiter_pending.store(true);
         d = cache.wait(key, 0);
         // The owner died: wait() must not block forever; it reports
         // the abandonment and this waiter becomes the new owner.
         EXPECT_EQ(d, nullptr);
         ASSERT_EQ(cache.acquire(key, 1, 0, &d),
-                  SharedDecompositionCache::Claim::Owner);
+                  DecompositionCache::Claim::Owner);
         waiter_reclaimed.store(true);
         cache.publish(key, swapFromThreeCnots());
     });

@@ -13,10 +13,13 @@
 #include <gtest/gtest.h>
 
 #include "apps/bv.hpp"
+#include "apps/qft.hpp"
 #include "core/fleet.hpp"
 #include "synth/engine.hpp"
 #include "util/logging.hpp"
 #include "weyl/gates.hpp"
+
+#include "synth_reference.hpp"
 
 namespace qbasis {
 namespace {
@@ -65,16 +68,16 @@ dummyDecomposition(double tag)
     return dec;
 }
 
-// --- SharedDecompositionCache unit behavior ------------------------
+// --- DecompositionCache unit behavior -----------------------------
 
 TEST(SharedCache, ClaimPublishLookupCounters)
 {
-    SharedDecompositionCache cache(4);
+    DecompositionCache cache;
     DecompositionCache::ClassKey key{42u, 1, 2, 3};
 
     const TwoQubitDecomposition *out = nullptr;
     ASSERT_EQ(cache.acquire(key, 0, 3, &out),
-              SharedDecompositionCache::Claim::Owner);
+              DecompositionCache::Claim::Owner);
     // The claim is one miss; the other two batched lookups are hits.
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 2u);
@@ -87,7 +90,7 @@ TEST(SharedCache, ClaimPublishLookupCounters)
 
     // Second device: plain hit, counted as cross-device in stats.
     ASSERT_EQ(cache.acquire(key, 1, 2, &out),
-              SharedDecompositionCache::Claim::Ready);
+              DecompositionCache::Claim::Ready);
     EXPECT_EQ(out, stored);
     EXPECT_EQ(cache.hits(), 4u);
     EXPECT_EQ(cache.misses(), 1u);
@@ -101,26 +104,26 @@ TEST(SharedCache, ClaimPublishLookupCounters)
 
 TEST(SharedCache, AbandonReleasesClaim)
 {
-    SharedDecompositionCache cache(2);
+    DecompositionCache cache;
     DecompositionCache::ClassKey key{7u, 0, 0, 0};
     ASSERT_EQ(cache.acquire(key, 0, 1, nullptr),
-              SharedDecompositionCache::Claim::Owner);
+              DecompositionCache::Claim::Owner);
     cache.abandon(key);
     // Abandoned entry is gone; the next client re-claims.
     ASSERT_EQ(cache.acquire(key, 1, 1, nullptr),
-              SharedDecompositionCache::Claim::Owner);
+              DecompositionCache::Claim::Owner);
     cache.publish(key, dummyDecomposition(0.25));
     EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(SharedCache, PendingWaitersSeePublishedEntry)
 {
-    SharedDecompositionCache cache(2);
+    DecompositionCache cache;
     DecompositionCache::ClassKey key{9u, 4, 5, 6};
     ASSERT_EQ(cache.acquire(key, 0, 1, nullptr),
-              SharedDecompositionCache::Claim::Owner);
+              DecompositionCache::Claim::Owner);
     ASSERT_EQ(cache.acquire(key, 1, 1, nullptr),
-              SharedDecompositionCache::Claim::Pending);
+              DecompositionCache::Claim::Pending);
 
     std::thread publisher(
         [&] { cache.publish(key, dummyDecomposition(0.125)); });
@@ -139,7 +142,7 @@ TEST(SharedCache, ConcurrentInsertLookupStress)
     constexpr int kKeys = 48;
     constexpr int kRounds = 40;
 
-    SharedDecompositionCache cache(4);
+    DecompositionCache cache;
     std::atomic<uint64_t> observed{0};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -154,16 +157,16 @@ TEST(SharedCache, ConcurrentInsertLookupStress)
                         static_cast<uint64_t>(key_id), key_id, 0, 0};
                     const TwoQubitDecomposition *dec = nullptr;
                     switch (cache.acquire(key, t, 1, &dec)) {
-                    case SharedDecompositionCache::Claim::Owner:
+                    case DecompositionCache::Claim::Owner:
                         cache.publish(
                             key, dummyDecomposition(
                                      static_cast<double>(key_id)));
                         break;
-                    case SharedDecompositionCache::Claim::Pending:
+                    case DecompositionCache::Claim::Pending:
                         dec = cache.wait(key, 0);
                         ASSERT_NE(dec, nullptr);
                         [[fallthrough]];
-                    case SharedDecompositionCache::Claim::Ready:
+                    case DecompositionCache::Claim::Ready:
                         ASSERT_NE(dec, nullptr);
                         ASSERT_EQ(dec->infidelity,
                                   static_cast<double>(key_id));
@@ -194,39 +197,11 @@ TEST(SharedCache, ConcurrentInsertLookupStress)
 
 // --- Engine shared-cache batches -----------------------------------
 
-bool
-decompositionsBitIdentical(const TwoQubitDecomposition &a,
-                           const TwoQubitDecomposition &b)
-{
-    if (a.layers() != b.layers()
-        || a.locals.size() != b.locals.size()
-        || a.infidelity != b.infidelity
-        || a.phase.real() != b.phase.real()
-        || a.phase.imag() != b.phase.imag())
-        return false;
-    for (size_t l = 0; l < a.locals.size(); ++l) {
-        for (int i = 0; i < 2; ++i) {
-            for (int j = 0; j < 2; ++j) {
-                const Complex ca1 = a.locals[l].q1(i, j);
-                const Complex cb1 = b.locals[l].q1(i, j);
-                const Complex ca0 = a.locals[l].q0(i, j);
-                const Complex cb0 = b.locals[l].q0(i, j);
-                if (ca1.real() != cb1.real()
-                    || ca1.imag() != cb1.imag()
-                    || ca0.real() != cb0.real()
-                    || ca0.imag() != cb0.imag())
-                    return false;
-            }
-        }
-    }
-    return true;
-}
-
 TEST(SharedBatch, BitIdenticalToLocalCacheBatch)
 {
-    // The multi-client path through the shared cache must produce
-    // byte-for-byte the same decompositions as the single-device
-    // batch through a local DecompositionCache.
+    // A batch on behalf of any device must produce byte-for-byte
+    // the decompositions of synthesizing each class directly, with
+    // counters as if every request were looked up in order.
     const SynthOptions opts = cheapSynth();
     std::vector<SynthRequest> requests;
     const Mat4 basis = canonicalGate(0.28, 0.21, 0.05);
@@ -241,11 +216,11 @@ TEST(SharedBatch, BitIdenticalToLocalCacheBatch)
         requests.push_back(cnot_req);
     }
 
-    SynthEngine engine(2);
-    DecompositionCache local;
-    const auto base = engine.synthesizeBatch(requests, local, opts);
+    ReferenceClasses classes;
+    const auto base = referenceSynthesis(requests, opts, &classes);
 
-    SharedDecompositionCache shared(4);
+    SynthEngine engine(2);
+    DecompositionCache shared;
     const auto fleet =
         engine.synthesizeBatch(requests, shared, opts, /*device=*/5);
 
@@ -254,9 +229,62 @@ TEST(SharedBatch, BitIdenticalToLocalCacheBatch)
         EXPECT_TRUE(decompositionsBitIdentical(base[i], fleet[i]))
             << "request " << i;
 
-    // Counter parity with the serial lookup loop.
-    EXPECT_EQ(shared.hits(), local.hits());
-    EXPECT_EQ(shared.misses(), local.misses());
+    EXPECT_EQ(shared.misses(), classes.size());
+    EXPECT_EQ(shared.hits(), requests.size() - classes.size());
+}
+
+TEST(SharedBatch, ConcurrentTranspilesIntoOneCallerOwnedCache)
+{
+    // Two client threads compile into one caller-owned cache and race
+    // on the classes their circuits share. Each result must match a
+    // compile that ran alone into a fresh cache, bit for bit.
+    const CouplingMap cm = CouplingMap::grid(2, 3);
+    std::vector<EdgeBasis> bases(cm.edges().size());
+    for (EdgeBasis &b : bases) {
+        b.gate = canonicalGate(0.28, 0.21, 0.05);
+        b.duration_ns = 15.0;
+        b.label = "xy";
+    }
+    TranspileOptions opts;
+    opts.synth = cheapSynth();
+    const std::vector<Circuit> circuits{qftCircuit(5), qftCircuit(6)};
+
+    SynthEngine engine(2);
+    std::vector<TranspileResult> alone;
+    for (const Circuit &c : circuits) {
+        DecompositionCache fresh;
+        alone.push_back(
+            transpileCircuit(c, cm, bases, {engine, fresh}, opts));
+    }
+
+    DecompositionCache cache;
+    std::vector<TranspileResult> raced(circuits.size());
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < circuits.size(); ++i) {
+        clients.emplace_back([&, i] {
+            raced[i] = transpileCircuit(
+                circuits[i], cm, bases,
+                {engine, cache, static_cast<int>(i)}, opts);
+        });
+    }
+    for (std::thread &t : clients)
+        t.join();
+
+    for (size_t i = 0; i < circuits.size(); ++i) {
+        const std::vector<Gate> &a = alone[i].physical.gates();
+        const std::vector<Gate> &b = raced[i].physical.gates();
+        ASSERT_EQ(a.size(), b.size()) << "circuit " << i;
+        for (size_t g = 0; g < a.size(); ++g) {
+            ASSERT_EQ(a[g].qubits, b[g].qubits);
+            const double diff =
+                a[g].isTwoQubit()
+                    ? a[g].matrix4().maxAbsDiff(b[g].matrix4())
+                    : a[g].matrix2().maxAbsDiff(b[g].matrix2());
+            EXPECT_EQ(diff, 0.0) << "circuit " << i << " gate " << g;
+        }
+    }
+    // Every class the two circuits share was synthesized once.
+    EXPECT_EQ(cache.misses(), cache.size());
 }
 
 TEST(SharedBatch, SecondDeviceHitsFirstDevicesClasses)
@@ -271,7 +299,7 @@ TEST(SharedBatch, SecondDeviceHitsFirstDevicesClasses)
     requests.push_back(req);
 
     SynthEngine engine(2);
-    SharedDecompositionCache shared(4);
+    DecompositionCache shared;
     const auto a = engine.synthesizeBatch(requests, shared, opts, 0);
     const uint64_t misses_after_first = shared.misses();
     const auto b = engine.synthesizeBatch(requests, shared, opts, 1);

@@ -45,7 +45,7 @@ TEST(Integration, QftAdderCompiledOnLineStillAdds)
     const auto bases = uniformBases(cm, sqrtIswapGate(), 50.0);
     DecompositionCache cache;
     const TranspileResult compiled =
-        transpileCircuit(adder, cm, bases, SynthRoute::local(&cache), TranspileOptions{});
+        transpileCircuit(adder, cm, bases, {SynthEngine::shared(), cache});
 
     const size_t mod = 1u << bits;
     for (size_t a = 0; a < mod; ++a) {
@@ -91,7 +91,7 @@ TEST(Integration, NonstandardBasisCompilesToffoliCorrectly)
     const auto bases = uniformBases(cm, basis, 12.0);
     DecompositionCache cache;
     const TranspileResult compiled =
-        transpileCircuit(c, cm, bases, SynthRoute::local(&cache), TranspileOptions{});
+        transpileCircuit(c, cm, bases, {SynthEngine::shared(), cache});
     // Verify truth table through layouts.
     for (size_t in = 0; in < 8; ++in) {
         Statevector sv(3);
@@ -123,11 +123,14 @@ TEST(Integration, ScheduleDurationMatchesDecompositionModel)
     const auto bases = uniformBases(cm, sqrtIswapGate(), 83.0);
     DecompositionCache cache;
     const TranspileResult compiled =
-        transpileCircuit(c, cm, bases, SynthRoute::local(&cache), TranspileOptions{});
+        transpileCircuit(c, cm, bases, {SynthEngine::shared(), cache});
     const Schedule sched = scheduleAsap(
         compiled.physical, edgeDurationModel(cm, bases, 20.0));
-    const TwoQubitDecomposition &dec = cache.getOrSynthesize(
-        0, cnotGate(), sqrtIswapGate(), SynthOptions{});
+    const TwoQubitDecomposition dec =
+        SynthClient{SynthEngine::shared(), cache}
+            .synthesizeBatch({{0, cnotGate(), sqrtIswapGate()}},
+                             SynthOptions{})
+            .front();
     EXPECT_EQ(dec.layers(), 2);
     // Some locals may merge away (identity products), so the
     // schedule can only be shorter or equal.
@@ -155,12 +158,10 @@ TEST(Integration, FidelityModelFavorsShorterBasisGates)
     const auto slow = uniformBases(cm, sqrtIswapGate(), 83.0);
     const auto fast = uniformBases(cm, sqrtIswapGate(), 10.0);
     DecompositionCache cache_slow, cache_fast;
-    const TranspileResult cs =
-        transpileCircuit(qft, cm, slow, SynthRoute::local(&cache_slow),
-                         TranspileOptions{});
-    const TranspileResult cf =
-        transpileCircuit(qft, cm, fast, SynthRoute::local(&cache_fast),
-                         TranspileOptions{});
+    const TranspileResult cs = transpileCircuit(
+        qft, cm, slow, {SynthEngine::shared(), cache_slow});
+    const TranspileResult cf = transpileCircuit(
+        qft, cm, fast, {SynthEngine::shared(), cache_fast});
     const double fs = circuitCoherenceFidelity(
         scheduleAsap(cs.physical, edgeDurationModel(cm, slow, 20.0)),
         80e3);
@@ -193,7 +194,7 @@ TEST(Integration, HeterogeneousBasesCompileCorrectly)
     c.cphase(3, 2, 0.7);
     DecompositionCache cache;
     const TranspileResult compiled =
-        transpileCircuit(c, cm, bases, SynthRoute::local(&cache), TranspileOptions{});
+        transpileCircuit(c, cm, bases, {SynthEngine::shared(), cache});
 
     Circuit embedded(4);
     for (const Gate &g : c.gates()) {

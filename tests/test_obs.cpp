@@ -361,7 +361,7 @@ TEST_F(ObsTest, RegistryCountersMatchLegacyServiceStats)
     EXPECT_EQ(snap.counterValue("serve.batches"), legacy.batches);
 
     // Shared-cache mirrors track the cache's own counters.
-    const SharedDecompositionCache::Stats cache =
+    const DecompositionCache::Stats cache =
         service.driver().cache().stats();
     EXPECT_EQ(snap.counterValue("cache.hits"), cache.hits);
     EXPECT_EQ(snap.counterValue("cache.misses"), cache.misses);

@@ -226,13 +226,13 @@ TEST_F(PersistTest, FileSaveLoadSaveIsByteStable)
 {
     const std::string path =
         ::testing::TempDir() + "qbasis_persist_stable.qbwc";
-    SharedDecompositionCache cache(4);
+    DecompositionCache cache;
     for (const CacheSnapshotEntry &e : sampleEntries())
         ASSERT_TRUE(cache.insertLoaded(e.first, e.second));
 
     ASSERT_TRUE(saveCacheSnapshot(cache, path).ok());
 
-    SharedDecompositionCache restored(8); // stripe count is irrelevant
+    DecompositionCache restored;
     const CacheIoResult loaded = loadCacheSnapshot(path, restored);
     ASSERT_TRUE(loaded.ok()) << loaded.message;
     EXPECT_EQ(loaded.entries, sampleEntries().size());
@@ -261,15 +261,15 @@ TEST_F(PersistTest, ExistingEntriesWinTheMerge)
     const TwoQubitDecomposition loaded = makeDec(2, 200);
     ASSERT_FALSE(decsBitwise(published, loaded));
 
-    SharedDecompositionCache cache(2);
+    DecompositionCache cache;
     const TwoQubitDecomposition *out = nullptr;
     ASSERT_EQ(cache.acquire(key, 0, 1, &out),
-              SharedDecompositionCache::Claim::Owner);
+              DecompositionCache::Claim::Owner);
     cache.publish(key, published);
 
     EXPECT_FALSE(cache.insertLoaded(key, loaded));
     ASSERT_EQ(cache.acquire(key, 0, 1, &out),
-              SharedDecompositionCache::Claim::Ready);
+              DecompositionCache::Claim::Ready);
     EXPECT_TRUE(decsBitwise(*out, published));
 }
 
@@ -280,15 +280,15 @@ TEST_F(PersistTest, LoadNeverStealsAnInFlightClaim)
     // owner's publish() still succeeds, and waiters see the
     // published bytes.
     const ClassKey key = makeKey(9, 9, 9, 9);
-    SharedDecompositionCache cache(2);
+    DecompositionCache cache;
     const TwoQubitDecomposition *out = nullptr;
     ASSERT_EQ(cache.acquire(key, 0, 1, &out),
-              SharedDecompositionCache::Claim::Owner);
+              DecompositionCache::Claim::Owner);
 
     EXPECT_FALSE(cache.insertLoaded(key, makeDec(1, 300)));
     // Still pending for a second client (not flipped to Ready).
     ASSERT_EQ(cache.acquire(key, 1, 1, &out),
-              SharedDecompositionCache::Claim::Pending);
+              DecompositionCache::Claim::Pending);
 
     const TwoQubitDecomposition published = makeDec(2, 400);
     cache.publish(key, published); // must not panic
@@ -299,14 +299,14 @@ TEST_F(PersistTest, LoadNeverStealsAnInFlightClaim)
 
 TEST_F(PersistTest, LoadedEntriesDoNotPerturbCounters)
 {
-    SharedDecompositionCache cache(2);
+    DecompositionCache cache;
     for (const CacheSnapshotEntry &e : sampleEntries())
         cache.insertLoaded(e.first, e.second);
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
     EXPECT_EQ(cache.size(), sampleEntries().size());
     // stats() must tolerate never-looked-up entries.
-    const SharedDecompositionCache::Stats st = cache.stats();
+    const DecompositionCache::Stats st = cache.stats();
     EXPECT_EQ(st.classes, sampleEntries().size());
     EXPECT_EQ(st.cross_device_hits, 0u);
 }
@@ -315,7 +315,7 @@ TEST_F(PersistTest, LoadedEntriesDoNotPerturbCounters)
 
 TEST_F(PersistTest, RetireDropsExactlyTheDeadContexts)
 {
-    SharedDecompositionCache cache(4);
+    DecompositionCache cache;
     for (const CacheSnapshotEntry &e : sampleEntries())
         cache.insertLoaded(e.first, e.second);
 
@@ -330,21 +330,21 @@ TEST_F(PersistTest, RetireDropsExactlyTheDeadContexts)
         const TwoQubitDecomposition *out = nullptr;
         const auto claim = cache.acquire(e.first, 0, 1, &out);
         if (e.first.context == 0xB0Bull) {
-            EXPECT_EQ(claim, SharedDecompositionCache::Claim::Owner);
+            EXPECT_EQ(claim, DecompositionCache::Claim::Owner);
             cache.abandon(e.first);
         } else {
-            EXPECT_EQ(claim, SharedDecompositionCache::Claim::Ready);
+            EXPECT_EQ(claim, DecompositionCache::Claim::Ready);
         }
     }
 }
 
 TEST_F(PersistTest, RetireSkipsInFlightClaims)
 {
-    SharedDecompositionCache cache(2);
+    DecompositionCache cache;
     const ClassKey key = makeKey(0xDEADull, 1, 1, 1);
     const TwoQubitDecomposition *out = nullptr;
     ASSERT_EQ(cache.acquire(key, 0, 1, &out),
-              SharedDecompositionCache::Claim::Owner);
+              DecompositionCache::Claim::Owner);
     EXPECT_EQ(cache.retireExcept({}), 0u); // claimed, not published
     cache.publish(key, makeDec(1, 500));   // must not panic
     EXPECT_EQ(cache.retireExcept({}), 1u); // now retirable
@@ -360,7 +360,7 @@ TEST_F(PersistTest, RetirementNeverDropsALiveVersionedBasis)
                                      bGate(), sqrtIswapGate()};
     Rng rng(20260730ull);
     for (int trial = 0; trial < 20; ++trial) {
-        SharedDecompositionCache cache(4);
+        DecompositionCache cache;
         std::vector<uint64_t> all_contexts;
         for (size_t g = 0; g < gates.size(); ++g) {
             const uint64_t ctx =
@@ -413,12 +413,12 @@ TEST_F(PersistTest, RetirementNeverDropsALiveVersionedBasis)
                 0, 1, &out);
             if (live[g]) {
                 EXPECT_EQ(claim,
-                          SharedDecompositionCache::Claim::Ready)
+                          DecompositionCache::Claim::Ready)
                     << "trial " << trial << ": live basis " << g
                     << " was retired";
             } else {
                 EXPECT_EQ(claim,
-                          SharedDecompositionCache::Claim::Owner);
+                          DecompositionCache::Claim::Owner);
                 cache.abandon(
                     makeKey(all_contexts[g],
                             static_cast<int64_t>(g), 0, 0));
@@ -526,7 +526,7 @@ TEST_F(PersistTest, MismatchesReportTheSpecificStatus)
     ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
               bytes.size());
     std::fclose(f);
-    SharedDecompositionCache cache(2);
+    DecompositionCache cache;
     EXPECT_FALSE(loadCacheSnapshot(path, cache).ok());
     EXPECT_EQ(cache.size(), 0u);
     std::remove(path.c_str());
@@ -610,14 +610,14 @@ TEST_F(PersistTest, WarmCacheReproducesFreshSynthesisBitwise)
     requests.push_back(req);
 
     SynthEngine engine(2);
-    SharedDecompositionCache cold(4);
+    DecompositionCache cold;
     const std::vector<TwoQubitDecomposition> cold_out =
         engine.synthesizeBatch(requests, cold, opts);
 
     const std::string path =
         ::testing::TempDir() + "qbasis_persist_warm.qbwc";
     ASSERT_TRUE(saveCacheSnapshot(cold, path).ok());
-    SharedDecompositionCache warm(4);
+    DecompositionCache warm;
     const CacheIoResult loaded = loadCacheSnapshot(path, warm);
     ASSERT_TRUE(loaded.ok()) << loaded.message;
     EXPECT_EQ(loaded.merged, cold.size());

@@ -454,10 +454,10 @@ TEST_F(PlanTest, PlanCacheSaveLoadMergesThroughTheSnapshotFile)
 
     const std::string path =
         ::testing::TempDir() + "qbasis_plan_snapshot.qbwc";
-    SharedDecompositionCache cache(2);
+    DecompositionCache cache;
     ASSERT_TRUE(saveCacheSnapshot(cache, pc, path).ok());
 
-    SharedDecompositionCache cache2(2);
+    DecompositionCache cache2;
     PlanCache pc2;
     // Pre-seed the destination with a conflicting resident plan:
     // resident wins the merge, mirroring the class-entry rule.

@@ -22,6 +22,8 @@
 #include "weyl/gates.hpp"
 #include "weyl/invariants.hpp"
 
+#include "synth_reference.hpp"
+
 namespace qbasis {
 namespace {
 
@@ -360,33 +362,6 @@ TEST(DepthOracleCacheTest, CachesVerdictsExactly)
 
 // --- Engine restart pruning ----------------------------------------
 
-bool
-decompositionsBitIdentical(const TwoQubitDecomposition &a,
-                           const TwoQubitDecomposition &b)
-{
-    if (a.layers() != b.layers() || a.locals.size() != b.locals.size()
-        || a.infidelity != b.infidelity
-        || a.phase.real() != b.phase.real()
-        || a.phase.imag() != b.phase.imag())
-        return false;
-    for (size_t l = 0; l < a.locals.size(); ++l) {
-        for (int i = 0; i < 2; ++i) {
-            for (int j = 0; j < 2; ++j) {
-                const Complex ca1 = a.locals[l].q1(i, j);
-                const Complex cb1 = b.locals[l].q1(i, j);
-                const Complex ca0 = a.locals[l].q0(i, j);
-                const Complex cb0 = b.locals[l].q0(i, j);
-                if (ca1.real() != cb1.real()
-                    || ca1.imag() != cb1.imag()
-                    || ca0.real() != cb0.real()
-                    || ca0.imag() != cb0.imag())
-                    return false;
-            }
-        }
-    }
-    return true;
-}
-
 TEST(EnginePruning, PrunesLateRestartsWithoutChangingResults)
 {
     // Single worker, easy target (CNOT from a CNOT-class basis, one
@@ -394,7 +369,8 @@ TEST(EnginePruning, PrunesLateRestartsWithoutChangingResults)
     // the whole remaining wave is pruned at submission time. Results
     // must stay bit-identical across thread counts even though the
     // pruning pattern differs (2 workers may race real restarts
-    // where 1 worker pruned them).
+    // where 1 worker pruned them), and identical to synthesizing the
+    // class directly.
     SynthOptions opts = cheapSynth();
     opts.restarts = 5;
 
@@ -424,6 +400,12 @@ TEST(EnginePruning, PrunesLateRestartsWithoutChangingResults)
         racy_engine.synthesizeBatch(requests, racy_cache, opts);
     ASSERT_EQ(racy.size(), 1u);
     EXPECT_TRUE(decompositionsBitIdentical(pruned[0], racy[0]));
+
+    ReferenceClasses classes;
+    const auto direct = referenceSynthesis(requests, opts, &classes);
+    EXPECT_TRUE(decompositionsBitIdentical(pruned[0], direct[0]));
+    EXPECT_EQ(serial_cache.misses(), classes.size());
+    EXPECT_EQ(racy_cache.hits(), 0u);
 }
 
 } // namespace

@@ -23,6 +23,8 @@
 #include "weyl/gates.hpp"
 #include "weyl/kak.hpp"
 
+#include "synth_reference.hpp"
+
 namespace qbasis {
 namespace {
 
@@ -33,6 +35,16 @@ fastSynth()
     o.restarts = 6;
     o.adam_iters = 600;
     return o;
+}
+
+/** Look one target up through `cache` as a one-request batch. */
+TwoQubitDecomposition
+lookup(DecompositionCache &cache, const Mat4 &target, const Mat4 &basis,
+       const SynthOptions &o)
+{
+    return SynthClient{SynthEngine::shared(), cache}
+        .synthesizeBatch({{0, target, basis}}, o)
+        .front();
 }
 
 TEST(Decomposition, ReconstructAndDuration)
@@ -215,21 +227,20 @@ TEST(Cache, HitsAndMisses)
 {
     DecompositionCache cache;
     const SynthOptions o = fastSynth();
-    const auto d1 =
-        cache.getOrSynthesize(0, cnotGate(), sqrtIswapGate(), o);
+    const auto d1 = lookup(cache, cnotGate(), sqrtIswapGate(), o);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 0u);
-    const auto d2 =
-        cache.getOrSynthesize(0, cnotGate(), sqrtIswapGate(), o);
+    const auto d2 = lookup(cache, cnotGate(), sqrtIswapGate(), o);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_LT(d1.reconstruct().maxAbsDiff(d2.reconstruct()), 1e-12);
     // Same Weyl class on a different edge -> shared entry (the basis
     // hash, not the edge id, scopes the cache).
-    cache.getOrSynthesize(1, cnotGate(), sqrtIswapGate(), o);
+    SynthClient{SynthEngine::shared(), cache}.synthesizeBatch(
+        {{1, cnotGate(), sqrtIswapGate()}}, o);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 2u);
     // Different target class -> separate entry.
-    cache.getOrSynthesize(0, swapGate(), sqrtIswapGate(), o);
+    lookup(cache, swapGate(), sqrtIswapGate(), o);
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(cache.size(), 2u);
     cache.clear();
@@ -259,14 +270,14 @@ TEST(Cache, WeylClassSharing)
     const Mat4 core = canonicalGate(0.37, 0.16, 0.02);
 
     Rng rng(11);
-    cache.getOrSynthesize(0, core, basis, o);
+    lookup(cache, core, basis, o);
     EXPECT_EQ(cache.misses(), 1u);
     for (int i = 0; i < 4; ++i) {
         const Mat4 dressed =
             Mat4::kron(randomSU2(rng), randomSU2(rng)) * core
             * Mat4::kron(randomSU2(rng), randomSU2(rng));
         const TwoQubitDecomposition d =
-            cache.getOrSynthesize(i, dressed, basis, o);
+            lookup(cache, dressed, basis, o);
         EXPECT_LT(d.infidelity, 1e-7);
         EXPECT_LT(traceInfidelity(d.reconstruct(), dressed), 1e-7);
         EXPECT_TRUE(d.wellFormed());
@@ -285,9 +296,8 @@ TEST(Cache, OrientationSharing)
     const Mat4 target = cphaseGate(0.9) * Mat4::kron(rx(0.3), rz(0.7));
     const Mat4 reversed = swapGate() * target * swapGate();
 
-    cache.getOrSynthesize(0, target, basis, o);
-    const TwoQubitDecomposition d =
-        cache.getOrSynthesize(0, reversed, basis, o);
+    lookup(cache, target, basis, o);
+    const TwoQubitDecomposition d = lookup(cache, reversed, basis, o);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_LT(traceInfidelity(d.reconstruct(), reversed), 1e-7);
@@ -304,10 +314,10 @@ TEST(Cache, BasisChangeInvalidates)
     const Mat4 basis_new = canonicalGate(0.30, 0.22, 0.06);
 
     const TwoQubitDecomposition d_old =
-        cache.getOrSynthesize(0, swapGate(), basis_old, o);
+        lookup(cache, swapGate(), basis_old, o);
     EXPECT_EQ(cache.misses(), 1u);
     const TwoQubitDecomposition d_new =
-        cache.getOrSynthesize(0, swapGate(), basis_new, o);
+        lookup(cache, swapGate(), basis_new, o);
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(cache.hits(), 0u);
     // Both decompose SWAP, but into their own basis gates.
@@ -321,10 +331,10 @@ TEST(Cache, OptionsChangeInvalidates)
 {
     DecompositionCache cache;
     SynthOptions o = fastSynth();
-    cache.getOrSynthesize(0, cnotGate(), sqrtIswapGate(), o);
+    lookup(cache, cnotGate(), sqrtIswapGate(), o);
     SynthOptions o2 = o;
     o2.seed += 1;
-    cache.getOrSynthesize(0, cnotGate(), sqrtIswapGate(), o2);
+    lookup(cache, cnotGate(), sqrtIswapGate(), o2);
     EXPECT_EQ(cache.misses(), 2u);
 }
 
@@ -351,30 +361,6 @@ TEST(CanonicalKakForCache, ExactDressingAndClassStability)
 }
 
 namespace {
-
-/** Bitwise equality of two decompositions (no tolerance). */
-bool
-bitIdentical(const TwoQubitDecomposition &a,
-             const TwoQubitDecomposition &b)
-{
-    auto same = [](const Complex &x, const Complex &y) {
-        return std::memcmp(&x, &y, sizeof(Complex)) == 0;
-    };
-    if (a.layers() != b.layers() || a.infidelity != b.infidelity
-        || !same(a.phase, b.phase))
-        return false;
-    for (size_t j = 0; j < a.locals.size(); ++j) {
-        for (int r = 0; r < 2; ++r) {
-            for (int c = 0; c < 2; ++c) {
-                if (!same(a.locals[j].q1(r, c), b.locals[j].q1(r, c))
-                    || !same(a.locals[j].q0(r, c),
-                             b.locals[j].q0(r, c)))
-                    return false;
-            }
-        }
-    }
-    return true;
-}
 
 std::vector<SynthRequest>
 engineTestRequests()
@@ -406,30 +392,31 @@ engineTestRequests()
 TEST(Engine, DeterministicAcrossThreadCounts)
 {
     // Same seed => bit-identical selected decompositions at 1 and N
-    // threads, and identical to the serial cache path.
+    // threads, and identical to synthesizing each class directly.
     const SynthOptions o = fastSynth();
     const std::vector<SynthRequest> reqs = engineTestRequests();
 
     SynthEngine e1(1), e4(4);
-    DecompositionCache c1, c4, cs;
+    DecompositionCache c1, c4;
     const auto r1 = e1.synthesizeBatch(reqs, c1, o);
     const auto r4 = e4.synthesizeBatch(reqs, c4, o);
-    std::vector<TwoQubitDecomposition> rs;
-    for (const SynthRequest &q : reqs)
-        rs.push_back(cs.getOrSynthesize(q.edge_id, q.target, q.basis,
-                                        o));
+    ReferenceClasses classes;
+    const auto rs = referenceSynthesis(reqs, o, &classes);
 
     ASSERT_EQ(r1.size(), reqs.size());
     for (size_t i = 0; i < reqs.size(); ++i) {
-        EXPECT_TRUE(bitIdentical(r1[i], r4[i])) << "request " << i;
-        EXPECT_TRUE(bitIdentical(r1[i], rs[i])) << "request " << i;
+        EXPECT_TRUE(decompositionsBitIdentical(r1[i], r4[i]))
+            << "request " << i;
+        EXPECT_TRUE(decompositionsBitIdentical(r1[i], rs[i]))
+            << "request " << i;
         EXPECT_LT(traceInfidelity(r1[i].reconstruct(),
                                   reqs[i].target), 1e-7);
     }
-    // Counter semantics match the serial lookup loop.
-    EXPECT_EQ(c1.hits(), cs.hits());
-    EXPECT_EQ(c1.misses(), cs.misses());
-    EXPECT_EQ(c4.size(), cs.size());
+    // Counters as if each request were looked up in order.
+    EXPECT_EQ(c1.misses(), classes.size());
+    EXPECT_EQ(c1.hits(), reqs.size() - classes.size());
+    EXPECT_EQ(c4.misses(), classes.size());
+    EXPECT_EQ(c4.size(), classes.size());
 }
 
 TEST(Engine, ReusesWarmCacheAcrossBatches)

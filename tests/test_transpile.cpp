@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,8 @@
 #include "transpile/pipeline.hpp"
 #include "util/rng.hpp"
 #include "weyl/gates.hpp"
+
+#include "synth_reference.hpp"
 
 namespace qbasis {
 namespace {
@@ -232,8 +235,9 @@ TEST(Translate, CxCircuitOntoSqrtIswap)
     c.cx(1, 2);
     DecompositionCache cache;
     BasisTranslationStats stats;
-    const Circuit t = translateToEdgeBases(c, cm, bases, cache,
-                                           SynthOptions{}, &stats);
+    const Circuit t = translateToEdgeBases(
+        c, cm, bases, {SynthEngine::shared(), cache}, SynthOptions{},
+        &stats);
     EXPECT_EQ(stats.translated_2q, 2u);
     // CNOT from sqiSW takes 2 layers each.
     EXPECT_EQ(stats.total_layers, 4u);
@@ -261,15 +265,16 @@ TEST(Translate, NonstandardBasisPreservesSemantics)
     c.swap(0, 1);
     c.cphase(1, 2, 0.77);
     DecompositionCache cache;
-    const Circuit t = translateToEdgeBases(c, cm, bases, cache,
-                                           SynthOptions{});
+    const Circuit t = translateToEdgeBases(
+        c, cm, bases, {SynthEngine::shared(), cache}, SynthOptions{});
     EXPECT_TRUE(circuitsEquivalent(c, t));
 }
 
 TEST(Translate, EngineMatchesSerialBitExactly)
 {
     // Batched (thread-pooled) translation must emit exactly the same
-    // circuit as the serial per-gate path for a fixed seed.
+    // circuit as emitting each gate from its class synthesized
+    // directly, one class at a time, for a fixed seed.
     const Mat4 basis = canonicalGate(0.45, 0.23, 0.07);
     const CouplingMap cm = CouplingMap::line(3);
     const auto bases = uniformBases(cm, basis, 12.0, "ns");
@@ -280,16 +285,25 @@ TEST(Translate, EngineMatchesSerialBitExactly)
     c.cphase(1, 2, 0.77);
     c.cphase(0, 1, 0.77);
 
-    DecompositionCache cache_serial, cache_engine;
-    const Circuit serial = translateToEdgeBases(
-        c, cm, bases, cache_serial, SynthOptions{});
+    const std::vector<SynthRequest> requests =
+        collectSynthRequests(c, cm, bases);
+    ReferenceClasses classes;
+    referenceSynthesis(requests, SynthOptions{}, &classes);
+    const std::optional<Circuit> serial = translateFromPublishedClasses(
+        c, cm, bases, SynthOptions{},
+        [&classes](const DecompositionCache::ClassKey &key) {
+            return &classes.at(key);
+        });
+    ASSERT_TRUE(serial.has_value());
+
+    DecompositionCache cache_engine;
     SynthEngine engine(4);
     const Circuit batched = translateToEdgeBases(
-        c, cm, bases, cache_engine, SynthOptions{}, nullptr, &engine);
+        c, cm, bases, {engine, cache_engine}, SynthOptions{});
 
-    ASSERT_EQ(serial.gates().size(), batched.gates().size());
-    for (size_t i = 0; i < serial.gates().size(); ++i) {
-        const Gate &a = serial.gates()[i];
+    ASSERT_EQ(serial->gates().size(), batched.gates().size());
+    for (size_t i = 0; i < serial->gates().size(); ++i) {
+        const Gate &a = serial->gates()[i];
         const Gate &b = batched.gates()[i];
         ASSERT_EQ(a.qubits, b.qubits);
         if (a.isTwoQubit())
@@ -297,8 +311,9 @@ TEST(Translate, EngineMatchesSerialBitExactly)
         else
             EXPECT_EQ(a.matrix2().maxAbsDiff(b.matrix2()), 0.0);
     }
-    EXPECT_EQ(cache_serial.hits(), cache_engine.hits());
-    EXPECT_EQ(cache_serial.misses(), cache_engine.misses());
+    // Counters as if each request were looked up in order.
+    EXPECT_EQ(cache_engine.misses(), classes.size());
+    EXPECT_EQ(cache_engine.hits(), requests.size() - classes.size());
 }
 
 TEST(Translate, ReversedEdgeOrientationHandled)
@@ -310,8 +325,8 @@ TEST(Translate, ReversedEdgeOrientationHandled)
     Circuit c(2);
     c.cx(1, 0); // control is the higher-numbered qubit
     DecompositionCache cache;
-    const Circuit t = translateToEdgeBases(c, cm, bases, cache,
-                                           SynthOptions{});
+    const Circuit t = translateToEdgeBases(
+        c, cm, bases, {SynthEngine::shared(), cache}, SynthOptions{});
     EXPECT_TRUE(circuitsEquivalent(c, t));
 }
 
@@ -325,7 +340,8 @@ TEST(Translate, CacheSharedAcrossIdenticalGates)
     c.cx(0, 1);
     c.cx(0, 1);
     DecompositionCache cache;
-    translateToEdgeBases(c, cm, bases, cache, SynthOptions{});
+    translateToEdgeBases(c, cm, bases, {SynthEngine::shared(), cache},
+                         SynthOptions{});
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 2u);
 }
@@ -338,7 +354,8 @@ TEST(Translate, RejectsUnroutedCircuits)
     Circuit c(3);
     c.cx(0, 2); // not an edge
     DecompositionCache cache;
-    EXPECT_THROW(translateToEdgeBases(c, cm, bases, cache,
+    EXPECT_THROW(translateToEdgeBases(c, cm, bases,
+                                      {SynthEngine::shared(), cache},
                                       SynthOptions{}),
                  std::runtime_error);
 }
@@ -362,7 +379,8 @@ TEST(Pipeline, EndToEndSmallDevice)
     const Circuit logical = qftCircuit(5);
     DecompositionCache cache;
     const TranspileResult result =
-        transpileCircuit(logical, cm, bases, SynthRoute::local(&cache));
+        transpileCircuit(logical, cm, bases,
+                         {SynthEngine::shared(), cache});
 
     // Structure: all 2Q gates are coupled basis gates.
     for (const Gate &g : result.physical.gates()) {
@@ -399,7 +417,8 @@ TEST(Pipeline, ScheduleOfTranspiledCircuit)
     const Circuit logical = qftCircuit(4);
     DecompositionCache cache;
     const TranspileResult result =
-        transpileCircuit(logical, cm, bases, SynthRoute::local(&cache));
+        transpileCircuit(logical, cm, bases,
+                         {SynthEngine::shared(), cache});
     const Schedule sched = scheduleAsap(
         result.physical, edgeDurationModel(cm, bases, 20.0));
     EXPECT_GT(sched.makespan, 0.0);
