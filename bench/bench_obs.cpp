@@ -2,7 +2,7 @@
  * @file
  * Observability overhead benchmark: the cost of a scoped span with
  * tracing disabled (the zero-perturbation budget: one relaxed atomic
- * load, single-digit ns) and enabled, of a registry counter add and
+ * load, single-digit ns) and enabled, of a metrics Counter add and
  * a histogram record, plus an exporter round trip and a traced-vs-
  * untraced digest-neutrality check over a real compile workload.
  * Emits BENCH_obs.json for the CI bench gate (scripts/check_bench.py
@@ -119,8 +119,7 @@ spanLoopNs(int iters)
 double
 counterLoopNs(int iters)
 {
-    static Counter &c =
-        MetricsRegistry::instance().counter("bench.obs.counter");
+    static Counter c; // static: the adds must stay observable
     const double start = nowMs();
     for (int i = 0; i < iters; ++i)
         c.add();
@@ -131,8 +130,7 @@ counterLoopNs(int iters)
 double
 histogramLoopNs(int iters)
 {
-    static Histogram &h =
-        MetricsRegistry::instance().histogram("bench.obs.hist");
+    static Histogram h;
     const double start = nowMs();
     for (int i = 0; i < iters; ++i)
         h.record(static_cast<uint64_t>(i));

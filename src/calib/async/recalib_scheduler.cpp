@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
@@ -13,31 +12,6 @@
 namespace qbasis {
 
 namespace {
-
-/** Registry mirrors of the scheduler's retry/quarantine stats. */
-struct RecalibMetrics
-{
-    Counter &scheduled;
-    Counter &completed;
-    Counter &published;
-    Counter &retries;
-    Counter &contained_errors;
-    Counter &quarantine_skipped;
-
-    static RecalibMetrics &
-    instance()
-    {
-        MetricsRegistry &reg = MetricsRegistry::instance();
-        static RecalibMetrics m{
-            reg.counter("recalib.scheduled"),
-            reg.counter("recalib.completed"),
-            reg.counter("recalib.published"),
-            reg.counter("recalib.retries"),
-            reg.counter("recalib.contained_errors"),
-            reg.counter("recalib.quarantine_skipped")};
-        return m;
-    }
-};
 
 // One probe per pipeline stage; keys are the logical edge identity,
 // so a fault campaign replays bit-identically at any shard count.
@@ -137,14 +111,12 @@ RecalibScheduler::schedule(RecalibJob job)
                 // Cycle-denominated backoff: the edge sits out until
                 // a job stamped at/after the release cycle arrives.
                 // The device keeps serving the last-good basis.
-                ++stats_.quarantine_skipped;
-                RecalibMetrics::instance().quarantine_skipped.add();
+                counters_.quarantine_skipped.add();
                 return;
             }
             quarantine_.erase(quarantined);
         }
-        ++stats_.scheduled;
-        RecalibMetrics::instance().scheduled.add();
+        counters_.scheduled.add();
         EdgeQueue &q = queues_[key];
         if (q.running) {
             // The edge already has a pipeline in flight: strict FIFO
@@ -353,11 +325,8 @@ RecalibScheduler::stageResynthesize(const std::shared_ptr<Task> &task)
     basis.duration_ns = cal.gate.duration_ns;
     basis.label = task->job.label;
     task->job.target->publishEdge(cal, basis);
-    RecalibMetrics::instance().published.add();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.published;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    counters_.published.add();
 }
 
 void
@@ -376,14 +345,12 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
             // failure -- a half-built Task would wrongly take the
             // window-extension branch). The edge queue stays
             // `running`, so FIFO order is preserved.
-            ++stats_.retries;
-            RecalibMetrics::instance().retries.add();
+            counters_.retries.add();
             next = std::make_shared<Task>();
             next->job = task->job;
             next->retries_used = task->retries_used + 1;
         } else {
-            ++stats_.completed;
-            RecalibMetrics::instance().completed.add();
+            counters_.completed.add();
             uint64_t release_cycle = 0;
             bool quarantined = false;
             if (error) {
@@ -391,8 +358,7 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
                     // Retry budget exhausted: quarantine the edge.
                     // Its device keeps serving the last-good basis;
                     // drain() does not fail.
-                    ++stats_.contained_errors;
-                    RecalibMetrics::instance().contained_errors.add();
+                    counters_.contained_errors.add();
                     Quarantine &quar = quarantine_[key];
                     quar.since_cycle = task->job.cycle;
                     quar.release_cycle =
@@ -424,8 +390,7 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
                 // queued job at/after the release cycle lifts it.
                 while (!q.pending.empty()
                        && q.pending.front().cycle < release_cycle) {
-                    ++stats_.quarantine_skipped;
-                    RecalibMetrics::instance().quarantine_skipped.add();
+                    counters_.quarantine_skipped.add();
                     q.pending.pop_front();
                 }
                 if (!q.pending.empty())
@@ -466,7 +431,14 @@ RecalibScheduler::Stats
 RecalibScheduler::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    Stats s = stats_;
+    s.scheduled = counters_.scheduled.value();
+    s.completed = counters_.completed.value();
+    s.published = counters_.published.value();
+    s.retries = counters_.retries.value();
+    s.contained_errors = counters_.contained_errors.value();
+    s.quarantine_skipped = counters_.quarantine_skipped.value();
+    return s;
 }
 
 std::vector<EdgeQuarantine>

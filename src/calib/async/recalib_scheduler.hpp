@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "core/recalib.hpp"
+#include "obs/metrics.hpp"
 
 namespace qbasis {
 
@@ -240,6 +241,9 @@ class RecalibScheduler
         std::string error;
     };
 
+    /** Guards the queues, quarantines, errors and stats: every stats
+     *  field, counters_ included, moves under it, so stats() is a
+     *  coherent view. */
     mutable std::mutex mutex_;
     std::condition_variable idle_cv_;
     std::map<EdgeKey, EdgeQueue> queues_;
@@ -247,7 +251,28 @@ class RecalibScheduler
     size_t inflight_ = 0; ///< Edges with a running pipeline.
     std::map<std::tuple<int, int, uint64_t>, std::exception_ptr>
         errors_;
+    /** The Stats fields without a registry name; the named ones live
+     *  in counters_ (stats() merges the two). */
     Stats stats_;
+    struct
+    {
+        Counter scheduled;
+        Counter completed;
+        Counter published;
+        Counter retries;
+        Counter contained_errors;
+        Counter quarantine_skipped;
+    } counters_;
+
+    /** Last member: retires the counters before they are destroyed
+     *  (the destructor has drained every task by then). */
+    MetricsRegistration metrics_{
+        {{"recalib.scheduled", &counters_.scheduled},
+         {"recalib.completed", &counters_.completed},
+         {"recalib.published", &counters_.published},
+         {"recalib.retries", &counters_.retries},
+         {"recalib.contained_errors", &counters_.contained_errors},
+         {"recalib.quarantine_skipped", &counters_.quarantine_skipped}}};
 };
 
 } // namespace qbasis

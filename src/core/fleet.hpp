@@ -9,12 +9,12 @@
  * The driver owns one process-wide ThreadPool and one process-wide
  * DecompositionCache. Devices are dealt round-robin onto
  * `shards` shard threads; each shard runs its devices in increasing
- * device order through its own SynthEngine that *borrows* the shared
- * pool. Every synthesis job, regardless of originating device, lands
- * in the shared cache keyed by (basis hash, options, Weyl class) --
- * so two devices with byte-identical bases (replicated hardware, or
- * a device whose drift left an edge unchanged) synthesize each class
- * exactly once fleet-wide.
+ * device order through the driver's one SynthEngine, which borrows
+ * the shared pool. Every synthesis job, regardless of originating
+ * device, lands in the shared cache keyed by (basis hash, options,
+ * Weyl class) -- so two devices with byte-identical bases (replicated
+ * hardware, or a device whose drift left an edge unchanged)
+ * synthesize each class exactly once fleet-wide.
  *
  * Determinism: per-device work only reads fleet-global state through
  * the shared cache, whose published entries are pure functions of
@@ -36,6 +36,7 @@
 #include "calib/async/recalib_scheduler.hpp"
 #include "core/experiment.hpp"
 #include "core/recalib.hpp"
+#include "obs/metrics.hpp"
 #include "synth/cache.hpp"
 #include "synth/cache_io.hpp"
 #include "synth/plan_cache.hpp"
@@ -271,7 +272,7 @@ struct HealthReport
     uint64_t contained_errors = 0;   ///< Tasks quarantined, not failed.
     uint64_t quarantine_skipped = 0; ///< Jobs dropped in quarantine.
     /** Synthesis restarts that threw and were contained as aborted
-     *  slots (summed over every engine the driver ran). */
+     *  slots (the driver's engine, since construction). */
     uint64_t synth_restarts_failed = 0;
     uint64_t cache_quarantines = 0;  ///< Snapshots renamed .quarantine.
     /** CacheIoStatus name of the last quarantined snapshot (empty
@@ -400,9 +401,9 @@ class FleetDriver
     /** Reset the scheduler's stats window (per-cycle overlap). */
     void resetRecalibWindow();
 
-    /** Restart accounting summed over every engine the driver ran
-     *  (run(), compileCircuits(), cycleReport()). */
-    SynthEngine::Stats engineStats() const;
+    /** Accounting of the driver's engine, which runs every
+     *  synthesis of run(), compileCircuits() and cycleReport(). */
+    SynthEngine::Stats engineStats() const { return engine_.stats(); }
 
     /**
      * Compile every circuit on every initDevices() device against
@@ -490,8 +491,7 @@ class FleetDriver
   private:
     FleetDeviceReport
     runDevice(int device_id, const FleetDeviceSpec &spec,
-              const std::vector<FleetCircuit> &circuits,
-              SynthEngine &engine);
+              const std::vector<FleetCircuit> &circuits);
 
     CalibratedBasisSet calibrateSpec(int device_id,
                                      const FleetDeviceSpec &spec,
@@ -507,24 +507,23 @@ class FleetDriver
     void forEachDeviceSharded(
         size_t n, const std::function<void(int)> &fn) const;
 
-    void absorbEngineStats(const SynthEngine &engine);
-
     /** Shard threads used for `n` devices (opts_.shards clamped). */
     int shardCount(int n_devices) const;
 
     FleetOptions opts_;
     ThreadPool pool_;
+    /** Every device's synthesis route (shard threads share it). */
+    SynthEngine engine_;
     DecompositionCache cache_;
     PlanCache plan_cache_;
     std::vector<std::unique_ptr<FleetDeviceState>> devices_;
     std::unique_ptr<RecalibScheduler> recalib_;
-    std::atomic<uint64_t> restarts_run_{0};
-    std::atomic<uint64_t> restarts_pruned_{0};
-    std::atomic<uint64_t> restarts_failed_{0};
-    /** Snapshots loadCache() rejected and renamed to .quarantine. */
-    std::atomic<uint64_t> cache_quarantines_{0};
+    Counter cycles_;         ///< cycleReport() calls.
+    Counter compile_passes_; ///< compileCircuits() calls.
     /** run() device failures contained into FleetDeviceStatus. */
-    std::atomic<uint64_t> device_failures_{0};
+    Counter device_failures_;
+    /** Snapshots loadCache() rejected and renamed to .quarantine. */
+    Counter cache_quarantines_;
     mutable std::mutex health_mutex_; ///< Guards the strings below.
     std::string last_cache_quarantine_;
     std::string first_device_error_;
@@ -534,6 +533,13 @@ class FleetDriver
      *  base of the warm-hit-rate window. */
     std::atomic<uint64_t> warm_base_hits_{0};
     std::atomic<uint64_t> warm_base_misses_{0};
+
+    /** Last member: retires the counters before they are destroyed. */
+    MetricsRegistration metrics_{
+        {{"fleet.cycles", &cycles_},
+         {"fleet.compile_passes", &compile_passes_},
+         {"fleet.device_failures", &device_failures_},
+         {"fleet.cache_quarantines", &cache_quarantines_}}};
 };
 
 } // namespace qbasis

@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <utility>
 
 #include "util/logging.hpp"
 
 namespace qbasis {
+
+namespace {
+
+void
+mergeInto(LogHistogram &into, const LogHistogram &from)
+{
+    for (int b = 0; b < kLogHistogramBuckets; ++b)
+        into.accumulateBucket(b, from.bucketCount(b));
+    into.accumulateSum(from.sum());
+}
+
+} // namespace
 
 LogHistogram
 Histogram::snapshot() const
@@ -21,107 +33,97 @@ Histogram::snapshot() const
     return h;
 }
 
-void
-Histogram::reset()
-{
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-}
+namespace {
 
-/** node-based maps keep metric addresses stable across inserts. */
-struct MetricsRegistry::Impl
+/** Retired totals plus the live registrations. The mutex orders
+ *  registration, retirement and snapshots, so a snapshot sees every
+ *  instance's counts exactly once: live or retired, never both and
+ *  never neither. */
+struct Registry
 {
-    mutable std::mutex mutex;
-    std::map<std::string, std::unique_ptr<Counter>> counters;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms;
+    std::mutex mutex;
+    std::vector<const MetricsRegistration *> live;
+    std::map<std::string, uint64_t> counters;
+    std::map<std::string, LogHistogram> histograms;
 };
 
-MetricsRegistry::Impl &
-MetricsRegistry::impl() const
+Registry &
+registry()
 {
-    // Leaked singleton: metrics outlive every static destructor that
-    // might still record on shutdown paths.
-    static Impl *impl = new Impl();
-    return *impl;
+    // Leaked: static-duration instances (the shared SynthEngine)
+    // retire into it during static destruction.
+    static Registry *r = new Registry();
+    return *r;
 }
 
-MetricsRegistry &
-MetricsRegistry::instance()
+} // namespace
+
+MetricsRegistration::MetricsRegistration(
+    std::vector<CounterRef> counters,
+    std::vector<HistogramRef> histograms)
+    : counters_(std::move(counters)), histograms_(std::move(histograms))
 {
-    static MetricsRegistry registry;
-    return registry;
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.live.push_back(this);
 }
 
-Counter &
-MetricsRegistry::counter(const std::string &name)
+MetricsRegistration::~MetricsRegistration()
 {
-    Impl &i = impl();
-    std::lock_guard<std::mutex> lock(i.mutex);
-    auto &slot = i.counters[name];
-    if (!slot)
-        slot = std::make_unique<Counter>();
-    return *slot;
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.live.erase(std::find(r.live.begin(), r.live.end(), this));
+    if (!counted())
+        return;
+    for (const CounterRef &c : counters_)
+        r.counters[c.name] += c.counter->value();
+    for (const HistogramRef &h : histograms_)
+        mergeInto(r.histograms[h.name], h.histogram->snapshot());
 }
 
-Gauge &
-MetricsRegistry::gauge(const std::string &name)
+bool
+MetricsRegistration::counted() const
 {
-    Impl &i = impl();
-    std::lock_guard<std::mutex> lock(i.mutex);
-    auto &slot = i.gauges[name];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
+    return std::any_of(counters_.begin(), counters_.end(),
+                       [](const CounterRef &c) {
+                           return c.counter->value() != 0;
+                       });
 }
 
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
+void
+MetricsRegistration::retireCounts()
 {
-    Impl &i = impl();
-    std::lock_guard<std::mutex> lock(i.mutex);
-    auto &slot = i.histograms[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    if (!counted())
+        return;
+    for (const CounterRef &c : counters_)
+        r.counters[c.name] += c.counter->value_.exchange(0);
 }
 
 MetricsSnapshot
-MetricsRegistry::snapshot() const
+metricsSnapshot()
 {
-    Impl &i = impl();
-    std::lock_guard<std::mutex> lock(i.mutex);
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    std::map<std::string, uint64_t> counters = r.counters;
+    std::map<std::string, LogHistogram> histograms = r.histograms;
+    for (const MetricsRegistration *reg : r.live) {
+        if (!reg->counted())
+            continue;
+        for (const auto &c : reg->counters_)
+            counters[c.name] += c.counter->value();
+        for (const auto &h : reg->histograms_)
+            mergeInto(histograms[h.name], h.histogram->snapshot());
+    }
     MetricsSnapshot snap;
-    snap.counters.reserve(i.counters.size());
-    for (const auto &[name, c] : i.counters)
-        snap.counters.push_back({name, c->value()});
-    snap.gauges.reserve(i.gauges.size());
-    for (const auto &[name, g] : i.gauges)
-        snap.gauges.push_back({name, g->value()});
-    snap.histograms.reserve(i.histograms.size());
-    for (const auto &[name, h] : i.histograms)
-        snap.histograms.push_back({name, h->snapshot()});
+    snap.counters.reserve(counters.size());
+    for (const auto &[name, value] : counters)
+        snap.counters.push_back({name, value});
+    snap.histograms.reserve(histograms.size());
+    for (const auto &[name, hist] : histograms)
+        snap.histograms.push_back({name, hist});
     return snap;
-}
-
-void
-MetricsRegistry::reset()
-{
-    Impl &i = impl();
-    std::lock_guard<std::mutex> lock(i.mutex);
-    for (const auto &[name, c] : i.counters) {
-        (void)name;
-        c->reset();
-    }
-    for (const auto &[name, g] : i.gauges) {
-        (void)name;
-        g->reset();
-    }
-    for (const auto &[name, h] : i.histograms) {
-        (void)name;
-        h->reset();
-    }
 }
 
 uint64_t
@@ -141,8 +143,6 @@ MetricsSnapshot::text() const
     for (const CounterValue &c : counters)
         out += strformat("%-28s %llu\n", c.name.c_str(),
                          static_cast<unsigned long long>(c.value));
-    for (const GaugeValue &g : gauges)
-        out += strformat("%-28s %.6g\n", g.name.c_str(), g.value);
     for (const HistogramValue &h : histograms)
         out += strformat(
             "%-28s count=%llu mean=%.1f p50<=%llu p95<=%llu "
@@ -154,51 +154,6 @@ MetricsSnapshot::text() const
             static_cast<unsigned long long>(h.hist.percentile(0.95)),
             static_cast<unsigned long long>(h.hist.percentile(0.99)));
     return out;
-}
-
-std::string
-MetricsSnapshot::json() const
-{
-    // Metric names are code-controlled identifiers ([a-z0-9._]), so
-    // they embed into JSON without escaping.
-    std::string out = "{\"counters\":{";
-    bool first = true;
-    for (const CounterValue &c : counters) {
-        out += strformat("%s\"%s\":%llu", first ? "" : ",",
-                         c.name.c_str(),
-                         static_cast<unsigned long long>(c.value));
-        first = false;
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const GaugeValue &g : gauges) {
-        out += strformat("%s\"%s\":%.17g", first ? "" : ",",
-                         g.name.c_str(), g.value);
-        first = false;
-    }
-    out += "},\"histograms\":{";
-    first = true;
-    for (const HistogramValue &h : histograms) {
-        out += strformat(
-            "%s\"%s\":{\"count\":%llu,\"sum\":%llu,\"mean\":%.6f,"
-            "\"p50\":%llu,\"p95\":%llu,\"p99\":%llu}",
-            first ? "" : ",", h.name.c_str(),
-            static_cast<unsigned long long>(h.hist.count()),
-            static_cast<unsigned long long>(h.hist.sum()),
-            h.hist.mean(),
-            static_cast<unsigned long long>(h.hist.percentile(0.50)),
-            static_cast<unsigned long long>(h.hist.percentile(0.95)),
-            static_cast<unsigned long long>(h.hist.percentile(0.99)));
-        first = false;
-    }
-    out += "}}";
-    return out;
-}
-
-MetricsSnapshot
-metricsSnapshot()
-{
-    return MetricsRegistry::instance().snapshot();
 }
 
 } // namespace qbasis

@@ -3,29 +3,29 @@
 
 /**
  * @file
- * Process-wide MetricsRegistry: named monotonic counters, gauges,
- * and log-bucketed histograms, in the spirit of c10d's monitored
- * flight-recorder counters.
+ * Process-wide metrics registry: a read-only view over the counters
+ * and histograms that the serving stack's instances own.
  *
- * The registry unifies the serving stack's previously ad-hoc stats:
- * CompileService, SynthEngine, the shared decomposition cache, and
- * the recalibration scheduler all mirror their counters here under
- * stable dotted names (see the catalog in README "Observability"),
- * so one `metricsSnapshot()` reports the whole stack. The legacy
- * per-instance structs (`CompileServiceStats`, `SynthEngine::Stats`,
- * ...) remain the authoritative inputs of the bit-identity digests;
- * registry values track them exactly on any fixed workload
- * (asserted in tests/test_obs).
+ * Each instance (CompileService, DecompositionCache, SynthEngine,
+ * RecalibScheduler, FleetDriver) stores its statistics in its own
+ * Counter/Histogram members -- the storage its stats()/snapshot()
+ * reads -- and holds a MetricsRegistration that lists them under
+ * stable dotted names (catalog: docs/architecture.md,
+ * "Observability"). One event increments one counter. The registry
+ * never stores a live value of its own:
  *
- * Hot-path cost: call sites hold a `static Counter &` resolved once
- * through instance(), so recording is a single relaxed fetch_add --
- * always on, and numerically invisible (counters never feed digest
- * or result math; the zero-perturbation contract is gated by
- * bench_obs + the obs-determinism CI job).
+ *   process total = retired + sum over live instances,
  *
- * Lifetime: metric references returned by counter()/gauge()/
- * histogram() are stable for the process lifetime. reset() zeroes
- * values but never invalidates references (tests and bench windows).
+ * where "retired" accumulates the final values of destroyed
+ * instances (and what DecompositionCache::clear() zeroes), so a
+ * registry total never decreases. An instance's names are listed
+ * once it has counted something: a driver that never ran a cycle
+ * adds no fleet.* rows.
+ *
+ * Hot-path cost: recording is one fetch_add on the owner's own
+ * atomic -- always on, and numerically invisible (counters never
+ * feed digest or result math; the zero-perturbation contract is
+ * gated by bench_obs + the obs-determinism CI job).
  */
 
 #include <atomic>
@@ -37,48 +37,27 @@
 
 namespace qbasis {
 
-/** Monotonic counter (relaxed atomic). */
+/** Monotonic counter. Relaxed by default; a caller that derives
+ *  cross-counter invariants from increment order (CompileService)
+ *  passes seq_cst on both sides. */
 class Counter
 {
   public:
     void
-    add(uint64_t n = 1)
+    add(uint64_t n = 1, std::memory_order order = std::memory_order_relaxed)
     {
-        value_.fetch_add(n, std::memory_order_relaxed);
+        value_.fetch_add(n, order);
     }
 
     uint64_t
-    value() const
+    value(std::memory_order order = std::memory_order_relaxed) const
     {
-        return value_.load(std::memory_order_relaxed);
+        return value_.load(order);
     }
 
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
   private:
+    friend class MetricsRegistration; // retireCounts() swaps to 0
     std::atomic<uint64_t> value_{0};
-};
-
-/** Last-write-wins instantaneous value. */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    double
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> value_{0.0};
 };
 
 /** Concurrent log2-bucketed histogram; snapshot() yields the plain
@@ -96,26 +75,19 @@ class Histogram
 
     LogHistogram snapshot() const;
 
-    void reset();
-
   private:
     std::atomic<uint64_t> buckets_[kLogHistogramBuckets] = {};
     std::atomic<uint64_t> sum_{0};
 };
 
-/** Point-in-time copy of every registered metric, sorted by name. */
+/** Point-in-time process totals of every registered name, sorted by
+ *  name. */
 struct MetricsSnapshot
 {
     struct CounterValue
     {
         std::string name;
         uint64_t value = 0;
-    };
-
-    struct GaugeValue
-    {
-        std::string name;
-        double value = 0.0;
     };
 
     struct HistogramValue
@@ -125,7 +97,6 @@ struct MetricsSnapshot
     };
 
     std::vector<CounterValue> counters;
-    std::vector<GaugeValue> gauges;
     std::vector<HistogramValue> histograms;
 
     /** Value of a counter by name (0 when absent). */
@@ -133,35 +104,55 @@ struct MetricsSnapshot
 
     /** Human-readable multi-line table. */
     std::string text() const;
-
-    /** Single JSON object: {"counters":{...},"gauges":{...},
-     *  "histograms":{name:{count,sum,mean,p50,p95,p99}}}. */
-    std::string json() const;
 };
 
-/** Global name -> metric registry. */
-class MetricsRegistry
+/**
+ * One instance's metrics, listed with the process-wide registry for
+ * the instance's lifetime. Declare it as the owner's *last* member:
+ * it is then destroyed first, and folds the owner's final values into
+ * the retired totals while the counters still exist.
+ */
+class MetricsRegistration
 {
   public:
-    static MetricsRegistry &instance();
+    struct CounterRef
+    {
+        const char *name;
+        Counter *counter;
+    };
 
-    /** Find-or-create; the reference is stable forever. */
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name);
+    struct HistogramRef
+    {
+        const char *name;
+        Histogram *histogram;
+    };
 
-    MetricsSnapshot snapshot() const;
+    explicit MetricsRegistration(std::vector<CounterRef> counters,
+                                 std::vector<HistogramRef> histograms = {});
+    ~MetricsRegistration();
 
-    /** Zero every value (references stay valid). */
-    void reset();
+    MetricsRegistration(const MetricsRegistration &) = delete;
+    MetricsRegistration &operator=(const MetricsRegistration &) = delete;
+
+    /**
+     * Move every listed counter's value into the retired totals and
+     * zero it, as one step against concurrent snapshots (the owner's
+     * "since reset" view restarts at 0; the process total is
+     * unchanged). Increments racing with it land on exactly one side.
+     */
+    void retireCounts();
 
   private:
-    MetricsRegistry() = default;
-    struct Impl;
-    Impl &impl() const;
+    friend MetricsSnapshot metricsSnapshot();
+
+    /** Some listed counter is nonzero (the instance is not dormant). */
+    bool counted() const;
+
+    std::vector<CounterRef> counters_;
+    std::vector<HistogramRef> histograms_;
 };
 
-/** Snapshot of the global registry. */
+/** Process totals: retired plus every live registration. */
 MetricsSnapshot metricsSnapshot();
 
 } // namespace qbasis

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
@@ -18,43 +17,11 @@ namespace {
  *  of client-thread interleaving. */
 const FaultSite kFaultServeAdmit("serve.admit");
 
-/** Registry mirrors of the per-service counters (global: several
- *  service instances aggregate into one process-wide view). */
-struct ServeMetrics
-{
-    Counter &submitted;
-    Counter &admitted;
-    Counter &rejected;
-    Counter &completed;
-    Counter &failed;
-    Counter &batches;
-    Counter &plan_hits;
-    Histogram &queue_us;
-    Histogram &compile_us;
-    Histogram &batch_size;
-
-    static ServeMetrics &
-    instance()
-    {
-        MetricsRegistry &reg = MetricsRegistry::instance();
-        static ServeMetrics m{reg.counter("serve.submitted"),
-                              reg.counter("serve.admitted"),
-                              reg.counter("serve.rejected"),
-                              reg.counter("serve.completed"),
-                              reg.counter("serve.failed"),
-                              reg.counter("serve.batches"),
-                              reg.counter("serve.plan_hits"),
-                              reg.histogram("serve.queue_us"),
-                              reg.histogram("serve.compile_us"),
-                              reg.histogram("serve.batch_size")};
-        return m;
-    }
-};
-
 } // namespace
 
 CompileService::CompileService(CompileServiceOptions opts)
-    : opts_(std::move(opts)), driver_(opts_.fleet)
+    : opts_(std::move(opts)), driver_(opts_.fleet),
+      engine_(driver_.pool())
 {
     if (opts_.queue_capacity == 0)
         opts_.queue_capacity = 1;
@@ -155,13 +122,11 @@ CompileService::submit(CompileRequest req)
         reject_why = e.what();
     }
 
-    ServeMetrics &metrics = ServeMetrics::instance();
     // `submitted` is incremented before the admit/reject outcome and
     // the outcome counter before the queue push; snapshot() reads in
     // the reverse order, which is what makes mid-flight views
     // coherent.
-    counters_.submitted.fetch_add(1);
-    metrics.submitted.add();
+    counters_.submitted.add(1, kCounterOrder);
 
     std::lock_guard<std::mutex> lock(mutex_);
     if (reject_why.empty() && !accepting_)
@@ -170,15 +135,13 @@ CompileService::submit(CompileRequest req)
         reject_why = "admission queue full (capacity "
                      + std::to_string(opts_.queue_capacity) + ")";
     if (!reject_why.empty()) {
-        counters_.rejected.fetch_add(1);
-        metrics.rejected.add();
+        counters_.rejected.add(1, kCounterOrder);
         pending.promise.set_value(
             rejectResponse(pending.req, std::move(reject_why)));
         return fut;
     }
 
-    counters_.admitted.fetch_add(1);
-    metrics.admitted.add();
+    counters_.admitted.add(1, kCounterOrder);
     queue_.push_back(std::move(pending));
     const uint64_t depth = queue_.size();
     uint64_t high = counters_.max_queue_depth.load();
@@ -227,25 +190,19 @@ CompileService::serveOne(PendingRequest &pending,
     resp.queue_ms = std::chrono::duration<double, std::milli>(
                         dispatched - pending.enqueued)
                         .count();
-    ServeMetrics &metrics = ServeMetrics::instance();
-    metrics.queue_us.record(
+    queue_us_.record(
         static_cast<uint64_t>(std::max(0.0, resp.queue_ms * 1000.0)));
-    metrics.compile_us.record(static_cast<uint64_t>(
+    compile_us_.record(static_cast<uint64_t>(
         std::max(0.0, resp.compile_ms * 1000.0)));
     // `failed` before `completed`, the reverse of snapshot()'s read
     // order, so failed <= completed in any mid-flight view.
-    if (resp.status == CompileStatus::Failed) {
-        counters_.failed.fetch_add(1);
-        metrics.failed.add();
-    }
+    if (resp.status == CompileStatus::Failed)
+        counters_.failed.add(1, kCounterOrder);
     // Same ordering argument: plan_hits before completed, so
     // plan_hits <= completed in any mid-flight view.
-    if (resp.plan_path != PlanServePath::None) {
-        counters_.plan_hits.fetch_add(1);
-        metrics.plan_hits.add();
-    }
-    counters_.completed.fetch_add(1);
-    metrics.completed.add();
+    if (resp.plan_path != PlanServePath::None)
+        counters_.plan_hits.add(1, kCounterOrder);
+    counters_.completed.add(1, kCounterOrder);
     pending.promise.set_value(std::move(resp));
 }
 
@@ -268,19 +225,15 @@ CompileService::dispatchLoop()
                 batch.push_back(std::move(queue_.front()));
                 queue_.pop_front();
             }
-            counters_.batches.fetch_add(1);
+            counters_.batches.add(1, kCounterOrder);
         }
-        ServeMetrics &metrics = ServeMetrics::instance();
-        metrics.batches.add();
-        metrics.batch_size.record(batch.size());
+        batch_size_.record(batch.size());
         QBASIS_TRACE_SCOPE("serve.dispatch", "batch", batch.size());
-        // One engine per dispatch round: the round's requests batch
-        // their class syntheses on the shared pool and publish into
-        // the fleet-wide cache, so concurrent rounds (and devices)
-        // dedupe structurally.
-        SynthEngine engine(driver_.pool());
+        // The round's requests batch their class syntheses on the
+        // shared pool and publish into the fleet-wide cache, so
+        // concurrent rounds (and devices) dedupe structurally.
         for (PendingRequest &pending : batch) {
-            const SynthClient client{engine, driver_.cache(),
+            const SynthClient client{engine_, driver_.cache(),
                                      pending.req.device_id,
                                      TaskPriority::Normal};
             serveOne(pending, client);
@@ -325,14 +278,14 @@ CompileService::snapshot() const
     // invariants: submitted >= admitted + rejected and
     // admitted >= completed >= failed hold in any mid-flight view.
     CompileServiceStats s;
-    s.plan_hits = counters_.plan_hits.load();
-    s.failed = counters_.failed.load();
-    s.completed = counters_.completed.load();
-    s.batches = counters_.batches.load();
+    s.plan_hits = counters_.plan_hits.value(kCounterOrder);
+    s.failed = counters_.failed.value(kCounterOrder);
+    s.completed = counters_.completed.value(kCounterOrder);
+    s.batches = counters_.batches.value(kCounterOrder);
     s.max_queue_depth = counters_.max_queue_depth.load();
-    s.rejected = counters_.rejected.load();
-    s.admitted = counters_.admitted.load();
-    s.submitted = counters_.submitted.load();
+    s.rejected = counters_.rejected.value(kCounterOrder);
+    s.admitted = counters_.admitted.value(kCounterOrder);
+    s.submitted = counters_.submitted.value(kCounterOrder);
     return s;
 }
 

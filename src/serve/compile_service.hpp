@@ -17,7 +17,7 @@
  *
  *  - **Batch coalescing.** Dispatcher threads drain the queue in
  *    FIFO order, up to `max_batch` requests per round, and compile
- *    them through one SynthEngine per round on the driver's shared
+ *    them through the service's SynthEngine on the driver's shared
  *    pool. Every synthesis of every request lands in the fleet-wide
  *    DecompositionCache, so concurrent clients compiling
  *    against byte-identical bases dedupe onto one Weyl-class
@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "core/fleet.hpp"
+#include "obs/metrics.hpp"
 #include "serve/api.hpp"
 
 namespace qbasis {
@@ -67,8 +68,8 @@ struct CompileServiceOptions
     size_t queue_capacity = 256;
     /** Dispatcher threads draining the queue. */
     int dispatchers = 2;
-    /** Max requests one dispatcher coalesces per round (they share
-     *  one SynthEngine and, through it, the shared class cache). */
+    /** Max requests one dispatcher coalesces per round (they batch
+     *  their syntheses through the shared class cache). */
     size_t max_batch = 8;
     /** Serve repeat requests from the fleet's transpile-plan cache
      *  (synth/plan_cache.hpp). Off = every request runs the full
@@ -82,8 +83,8 @@ struct CompileServiceOptions
  * through CompileService::snapshot(), which guarantees a *coherent*
  * mid-flight view: submitted >= admitted + rejected,
  * admitted >= completed >= failed (asserted in tests/test_serve).
- * The same counters are mirrored into the global MetricsRegistry
- * under serve.* names (obs/metrics.hpp).
+ * The process-wide metrics registry reads the same counters under
+ * serve.* names (obs/metrics.hpp).
  */
 struct CompileServiceStats
 {
@@ -163,9 +164,6 @@ class CompileService
      */
     CompileServiceStats snapshot() const;
 
-    /** Alias of snapshot() (historical name). */
-    CompileServiceStats stats() const { return snapshot(); }
-
     /** The owned fleet (cache persistence, manifests, reports). */
     FleetDriver &driver() { return driver_; }
     const FleetDriver &driver() const { return driver_; }
@@ -187,6 +185,8 @@ class CompileService
 
     CompileServiceOptions opts_;
     FleetDriver driver_;
+    /** Serves every dispatch round; borrows the driver's pool. */
+    SynthEngine engine_;
 
     mutable std::mutex mutex_; ///< Guards queue_, accepting_.
     std::condition_variable cv_;
@@ -195,21 +195,42 @@ class CompileService
     bool draining_ = false;  ///< Dispatchers exit once queue empties.
 
     /** Lock-free serving counters; see snapshot() for the coherence
-     *  contract. seq_cst increments keep the load-order argument
-     *  simple (all on cold control paths). */
+     *  contract. seq_cst increments and loads (kCounterOrder)
+     *  keep the load-order argument simple (all on cold control
+     *  paths). */
     struct
     {
-        std::atomic<uint64_t> submitted{0};
-        std::atomic<uint64_t> admitted{0};
-        std::atomic<uint64_t> rejected{0};
-        std::atomic<uint64_t> completed{0};
-        std::atomic<uint64_t> failed{0};
-        std::atomic<uint64_t> batches{0};
+        Counter submitted;
+        Counter admitted;
+        Counter rejected;
+        Counter completed;
+        Counter failed;
+        Counter batches;
+        Counter plan_hits;
         std::atomic<uint64_t> max_queue_depth{0};
-        std::atomic<uint64_t> plan_hits{0};
     } counters_;
+    static constexpr std::memory_order kCounterOrder =
+        std::memory_order_seq_cst;
+
+    Histogram queue_us_;   ///< Admission to dispatch, per request.
+    Histogram compile_us_; ///< CompileResponse::compile_ms, in us.
+    Histogram batch_size_; ///< Requests per dispatch round.
 
     std::vector<std::thread> dispatchers_;
+
+    /** Last member: retires the counters before they are destroyed
+     *  (the destructor has joined the dispatchers by then). */
+    MetricsRegistration metrics_{
+        {{"serve.submitted", &counters_.submitted},
+         {"serve.admitted", &counters_.admitted},
+         {"serve.rejected", &counters_.rejected},
+         {"serve.completed", &counters_.completed},
+         {"serve.failed", &counters_.failed},
+         {"serve.batches", &counters_.batches},
+         {"serve.plan_hits", &counters_.plan_hits}},
+        {{"serve.queue_us", &queue_us_},
+         {"serve.compile_us", &compile_us_},
+         {"serve.batch_size", &batch_size_}}};
 };
 
 } // namespace qbasis

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -47,29 +46,6 @@ hashKey(const DecompositionCache::ClassKey &key)
     h = Rng::deriveSeed(h, static_cast<uint64_t>(key.qy));
     return Rng::deriveSeed(h, static_cast<uint64_t>(key.qz));
 }
-
-/** Registry mirrors of the cache's hit/miss atomics plus the
- *  claim-protocol traffic counters. */
-struct CacheMetrics
-{
-    Counter &hits;
-    Counter &misses;
-    Counter &waits;
-    Counter &publishes;
-    Counter &abandons;
-
-    static CacheMetrics &
-    instance()
-    {
-        MetricsRegistry &reg = MetricsRegistry::instance();
-        static CacheMetrics m{reg.counter("cache.hits"),
-                              reg.counter("cache.misses"),
-                              reg.counter("cache.waits"),
-                              reg.counter("cache.publishes"),
-                              reg.counter("cache.abandons")};
-        return m;
-    }
-};
 
 } // namespace
 
@@ -200,7 +176,6 @@ DecompositionCache::acquire(const ClassKey &key, int device,
                             const TwoQubitDecomposition **out)
 {
     QBASIS_TRACE_SCOPE("cache.claim", "context", key.context);
-    CacheMetrics &metrics = CacheMetrics::instance();
     Stripe &s = stripeOf(key);
     std::lock_guard<std::mutex> lock(s.mutex);
     auto [it, inserted] = s.entries.try_emplace(key);
@@ -208,17 +183,13 @@ DecompositionCache::acquire(const ClassKey &key, int device,
     if (inserted) {
         // One miss for the claim; the remaining batched lookups of
         // this class are hits against the about-to-exist entry.
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        metrics.misses.add();
-        if (lookups > 1) {
-            hits_.fetch_add(lookups - 1, std::memory_order_relaxed);
-            metrics.hits.add(lookups - 1);
-        }
+        misses_.add();
+        if (lookups > 1)
+            hits_.add(lookups - 1);
         return Claim::Owner;
     }
     if (it->second.ready) {
-        hits_.fetch_add(lookups, std::memory_order_relaxed);
-        metrics.hits.add(lookups);
+        hits_.add(lookups);
         if (out != nullptr)
             *out = &it->second.dec;
         return Claim::Ready;
@@ -231,7 +202,7 @@ DecompositionCache::publish(const ClassKey &key,
                             TwoQubitDecomposition dec)
 {
     QBASIS_TRACE_SCOPE("cache.publish", "context", key.context);
-    CacheMetrics::instance().publishes.add();
+    publishes_.add();
     Stripe &s = stripeOf(key);
     std::lock_guard<std::mutex> lock(s.mutex);
     const auto it = s.entries.find(key);
@@ -246,7 +217,7 @@ DecompositionCache::publish(const ClassKey &key,
 void
 DecompositionCache::abandon(const ClassKey &key)
 {
-    CacheMetrics::instance().abandons.add();
+    abandons_.add();
     Stripe &s = stripeOf(key);
     std::lock_guard<std::mutex> lock(s.mutex);
     const auto it = s.entries.find(key);
@@ -263,8 +234,7 @@ DecompositionCache::wait(const ClassKey &key, uint64_t lookups)
     // trace, time spent here is time spent waiting for another
     // client's claim, not this request's own synthesis.
     QBASIS_TRACE_SCOPE("cache.wait", "context", key.context);
-    CacheMetrics &metrics = CacheMetrics::instance();
-    metrics.waits.add();
+    waits_.add();
     Stripe &s = stripeOf(key);
     std::unique_lock<std::mutex> lock(s.mutex);
     for (;;) {
@@ -272,8 +242,7 @@ DecompositionCache::wait(const ClassKey &key, uint64_t lookups)
         if (it == s.entries.end())
             return nullptr; // owner abandoned; caller re-acquires
         if (it->second.ready) {
-            hits_.fetch_add(lookups, std::memory_order_relaxed);
-            metrics.hits.add(lookups);
+            hits_.add(lookups);
             return &it->second.dec;
         }
         s.cv.wait(lock);
@@ -295,8 +264,11 @@ DecompositionCache::Stats
 DecompositionCache::stats() const
 {
     Stats st;
-    st.hits = hits_.load();
-    st.misses = misses_.load();
+    st.hits = hits_.value();
+    st.misses = misses_.value();
+    st.waits = waits_.value();
+    st.publishes = publishes_.value();
+    st.abandons = abandons_.value();
     for (const auto &stripe : stripes_) {
         std::lock_guard<std::mutex> lock(stripe.mutex);
         for (const auto &[key, entry] : stripe.entries) {
@@ -422,8 +394,7 @@ DecompositionCache::clear()
         std::lock_guard<std::mutex> lock(stripe.mutex);
         stripe.entries.clear();
     }
-    hits_.store(0);
-    misses_.store(0);
+    metrics_.retireCounts();
 }
 
 } // namespace qbasis

@@ -56,7 +56,6 @@
  */
 
 #include <array>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -64,6 +63,7 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "synth/numerical.hpp"
 #include "weyl/kak.hpp"
 
@@ -222,6 +222,11 @@ class DecompositionCache
          * claim).
          */
         uint64_t cross_device_hits = 0;
+        /** Claim-protocol traffic: wait() calls, publishes, and
+         *  abandoned claims. */
+        uint64_t waits = 0;
+        uint64_t publishes = 0;
+        uint64_t abandons = 0;
 
         double
         hitRate() const
@@ -245,16 +250,17 @@ class DecompositionCache
     Stats stats() const;
 
     /** Lookups served from an existing (or in-flight) class. */
-    uint64_t hits() const { return hits_.load(); }
+    uint64_t hits() const { return hits_.value(); }
 
     /** Classes claimed for synthesis (one per distinct class). */
-    uint64_t misses() const { return misses_.load(); }
+    uint64_t misses() const { return misses_.value(); }
 
     /** Published classes across all stripes. */
     size_t size() const;
 
-    /** Drop everything (start of a new calibration cycle). No batch
-     *  may be in flight. */
+    /** Drop everything (start of a new calibration cycle) and zero
+     *  the counters; their counts stay in the registry's cache.*
+     *  totals. No batch may be in flight. */
     void clear();
 
     // -- Persistence + retirement (synth/cache_io, core/fleet) ------
@@ -328,8 +334,17 @@ class DecompositionCache
     /** Lock stripes; class keys spread over them by hash. */
     static constexpr size_t kStripes = 16;
     std::array<Stripe, kStripes> stripes_;
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
+    Counter hits_;
+    Counter misses_;
+    Counter waits_;
+    Counter publishes_;
+    Counter abandons_;
+    /** Last member: retires the counters before they are destroyed. */
+    MetricsRegistration metrics_{{{"cache.hits", &hits_},
+                                  {"cache.misses", &misses_},
+                                  {"cache.waits", &waits_},
+                                  {"cache.publishes", &publishes_},
+                                  {"cache.abandons", &abandons_}}};
 };
 
 /** The benchmark in qbench/ spells the cache by its pre-merge name. */

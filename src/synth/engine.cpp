@@ -12,7 +12,6 @@
 
 #include "linalg/mat4_kernels.hpp"
 #include "monodromy/depth.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "synth/depth_cache.hpp"
 #include "util/fault.hpp"
@@ -27,32 +26,6 @@ namespace {
 const FaultSite kFaultSynthRestart("synth.restart");
 /** The phase-3b serial re-claim fallback after an owner abandoned. */
 const FaultSite kFaultSynthFallback("synth.fallback");
-
-/** Registry mirrors of the engine's atomic counters (aggregated
- *  process-wide across engine instances; per-instance values stay in
- *  SynthEngine::Stats). */
-struct SynthMetrics
-{
-    Counter &batches;
-    Counter &requests;
-    Counter &jobs;
-    Counter &restarts_run;
-    Counter &restarts_pruned;
-    Counter &restarts_failed;
-
-    static SynthMetrics &
-    instance()
-    {
-        MetricsRegistry &reg = MetricsRegistry::instance();
-        static SynthMetrics m{reg.counter("synth.batches"),
-                              reg.counter("synth.requests"),
-                              reg.counter("synth.jobs"),
-                              reg.counter("synth.restarts_run"),
-                              reg.counter("synth.restarts_pruned"),
-                              reg.counter("synth.restarts_failed")};
-        return m;
-    }
-};
 
 /** Result slot of one restart in the current wave. */
 struct RestartSlot
@@ -103,17 +76,15 @@ struct BatchState
     ThreadPool &pool;
     const SynthOptions &opts;
     TaskPriority priority;
-    std::atomic<uint64_t> &restarts_run;
-    std::atomic<uint64_t> &restarts_pruned;
-    std::atomic<uint64_t> &restarts_failed;
+    Counter &restarts_run;
+    Counter &restarts_pruned;
+    Counter &restarts_failed;
     size_t jobs_remaining = 0; ///< Guarded by `mutex`.
     std::mutex mutex;
     std::condition_variable done_cv;
 
     BatchState(ThreadPool &p, const SynthOptions &o, TaskPriority pr,
-               std::atomic<uint64_t> &run,
-               std::atomic<uint64_t> &pruned,
-               std::atomic<uint64_t> &failed)
+               Counter &run, Counter &pruned, Counter &failed)
         : pool(p), opts(o), priority(pr), restarts_run(run),
           restarts_pruned(pruned), restarts_failed(failed)
     {
@@ -196,14 +167,12 @@ BatchState::runRestart(ClassJob &job, int restart)
         // cancellation would have -- so results stay bit-identical.
         if (should_stop()) {
             slot.aborted = true;
-            restarts_pruned.fetch_add(1, std::memory_order_relaxed);
-            SynthMetrics::instance().restarts_pruned.add();
+            restarts_pruned.add();
             if (job.remaining.fetch_sub(1) == 1)
                 reduceWave(job);
             return;
         }
-        restarts_run.fetch_add(1, std::memory_order_relaxed);
-        SynthMetrics::instance().restarts_run.add();
+        restarts_run.add();
         QBASIS_TRACE_SCOPE("synth.restart", "context",
                            job.key.context, "restart",
                            static_cast<uint64_t>(restart));
@@ -240,8 +209,7 @@ BatchState::runRestart(ClassJob &job, int restart)
         slot.infidelity = 1.0;
         slot.aborted = true;
         slot.error = std::current_exception();
-        restarts_failed.fetch_add(1, std::memory_order_relaxed);
-        SynthMetrics::instance().restarts_failed.add();
+        restarts_failed.add();
     }
     if (job.remaining.fetch_sub(1) == 1)
         reduceWave(job);
@@ -399,14 +367,11 @@ prefetchDepthVerdicts(ThreadPool &pool, const SynthOptions &opts,
 void
 runJobsOnPool(ThreadPool &pool, const SynthOptions &opts,
               std::vector<std::unique_ptr<ClassJob>> &jobs,
-              TaskPriority priority,
-              std::atomic<uint64_t> &restarts_run,
-              std::atomic<uint64_t> &restarts_pruned,
-              std::atomic<uint64_t> &restarts_failed)
+              TaskPriority priority, Counter &restarts_run,
+              Counter &restarts_pruned, Counter &restarts_failed)
 {
     if (jobs.empty())
         return;
-    SynthMetrics::instance().jobs.add(jobs.size());
     BatchState state(pool, opts, priority, restarts_run,
                      restarts_pruned, restarts_failed);
     state.jobs_remaining = jobs.size();
@@ -458,19 +423,14 @@ SynthEngine::Stats
 SynthEngine::stats() const
 {
     Stats s;
-    s.restarts_run = restarts_run_.load();
-    s.restarts_pruned = restarts_pruned_.load();
-    s.restarts_failed = restarts_failed_.load();
+    s.batches = batches_.value();
+    s.requests = requests_.value();
+    s.jobs = jobs_.value();
+    s.restarts_run = restarts_run_.value();
+    s.restarts_pruned = restarts_pruned_.value();
+    s.restarts_failed = restarts_failed_.value();
     s.mat4_backend = mat4BackendName(activeMat4Backend());
     return s;
-}
-
-void
-SynthEngine::resetStats()
-{
-    restarts_run_.store(0);
-    restarts_pruned_.store(0);
-    restarts_failed_.store(0);
 }
 
 std::vector<TwoQubitDecomposition>
@@ -487,8 +447,8 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
     QBASIS_TRACE_SCOPE("synth.batch", "requests", n, "device",
                        static_cast<uint64_t>(
                            static_cast<uint32_t>(device_id)));
-    SynthMetrics::instance().batches.add();
-    SynthMetrics::instance().requests.add(n);
+    batches_.add();
+    requests_.add(n);
 
     // Phase 1: canonical KAK of every target.
     std::vector<CanonicalKak> kaks(n);
@@ -544,6 +504,7 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
     // then run them; publish in job order. The guards abandon every
     // unpublished claim if this batch unwinds, so concurrent waiters
     // wake and take over instead of blocking forever.
+    jobs_.add(jobs.size());
     prefetchDepthVerdicts(*pool_, opts, jobs);
     runJobsOnPool(*pool_, opts, jobs, priority, restarts_run_,
                   restarts_pruned_, restarts_failed_);

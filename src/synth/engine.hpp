@@ -36,10 +36,10 @@
  * dequeue order; results are bit-identical across lanes.
  */
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "synth/cache.hpp"
 #include "util/thread_pool.hpp"
 
@@ -61,9 +61,9 @@ class SynthEngine
     explicit SynthEngine(int threads = 0);
 
     /**
-     * Create an engine on a borrowed pool (the fleet driver runs one
-     * engine per shard on one process-wide pool). The pool must
-     * outlive the engine.
+     * Create an engine on a borrowed pool (the fleet driver and the
+     * compile service each run one long-lived engine on the fleet's
+     * pool). The pool must outlive the engine.
      */
     explicit SynthEngine(ThreadPool &pool);
 
@@ -94,9 +94,15 @@ class SynthEngine
     /** Worker threads in the pool. */
     int threadCount() const { return pool_->size(); }
 
-    /** Cumulative restart accounting across batches. */
+    /** Cumulative accounting across batches. */
     struct Stats
     {
+        /** synthesizeBatch() calls with at least one request. */
+        uint64_t batches = 0;
+        /** Requests across those batches. */
+        uint64_t requests = 0;
+        /** Weyl classes this engine synthesized (claims it owned). */
+        uint64_t jobs = 0;
         /** Restarts that actually ran the optimizer. */
         uint64_t restarts_run = 0;
         /** Queued restarts skipped at dequeue time because a
@@ -113,7 +119,6 @@ class SynthEngine
     };
 
     Stats stats() const;
-    void resetStats();
 
     /**
      * Process-wide engine sized from QBASIS_SYNTH_THREADS (or the
@@ -125,9 +130,20 @@ class SynthEngine
   private:
     std::unique_ptr<ThreadPool> owned_; ///< Null for borrowed pools.
     ThreadPool *pool_;
-    std::atomic<uint64_t> restarts_run_{0};
-    std::atomic<uint64_t> restarts_pruned_{0};
-    std::atomic<uint64_t> restarts_failed_{0};
+    Counter batches_;
+    Counter requests_;
+    Counter jobs_;
+    Counter restarts_run_;
+    Counter restarts_pruned_;
+    Counter restarts_failed_;
+    /** Last member: retires the counters before they are destroyed. */
+    MetricsRegistration metrics_{
+        {{"synth.batches", &batches_},
+         {"synth.requests", &requests_},
+         {"synth.jobs", &jobs_},
+         {"synth.restarts_run", &restarts_run_},
+         {"synth.restarts_pruned", &restarts_pruned_},
+         {"synth.restarts_failed", &restarts_failed_}}};
 };
 
 /**

@@ -1,15 +1,18 @@
 /**
  * @file
  * Observability-layer tests: log-histogram/percentile math, span
- * recording round-trips through the Chrome trace exporter, registry
- * counters tracking the legacy per-instance stats structs, the
+ * recording round-trips through the Chrome trace exporter, the
+ * registry as a view over the per-instance stats (live sums, retired
+ * totals, snapshots racing construction and destruction), the
  * zero-perturbation contract (tracing ON vs OFF keeps every
  * committed digest byte-identical), and request-id correlation from
  * admission through cache publish.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -312,37 +315,66 @@ TEST_F(ObsTest, CorrelationNestsAndRestores)
     EXPECT_EQ(currentTraceCorrelation(), 0u);
 }
 
-// --- MetricsRegistry vs the legacy stats structs --------------------
+// --- Metrics registry: a view over the instances' own counters ------
 
-TEST_F(ObsTest, RegistryCountersMatchLegacyEngineStats)
+/** Registry movement of one name since `before` (the registry is
+ *  process-wide, so every assertion reads a delta). */
+uint64_t
+counterDelta(const MetricsSnapshot &before, const MetricsSnapshot &after,
+             const char *name)
 {
-    MetricsRegistry::instance().reset();
-    SynthEngine engine(2);
-    DecompositionCache cache;
+    return after.counterValue(name) - before.counterValue(name);
+}
+
+uint64_t
+histogramCount(const MetricsSnapshot &snap, const char *name)
+{
+    for (const auto &hv : snap.histograms) {
+        if (hv.name == name)
+            return hv.hist.count();
+    }
+    return 0;
+}
+
+std::vector<SynthRequest>
+swapCnotRequests()
+{
     std::vector<SynthRequest> reqs;
     reqs.push_back({0, swapGate(), sqrtIswapGate()});
     reqs.push_back({1, cnotGate(), sqrtIswapGate()});
     reqs.push_back({0, swapGate(), sqrtIswapGate()}); // cache hit
-    const auto decs = engine.synthesizeBatch(reqs, cache,
+    return reqs;
+}
+
+TEST_F(ObsTest, RegistryCountersMatchLegacyEngineStats)
+{
+    const MetricsSnapshot before = metricsSnapshot();
+    SynthEngine engine(2);
+    DecompositionCache cache;
+    const auto decs = engine.synthesizeBatch(swapCnotRequests(), cache,
                                              cheapSynth());
     ASSERT_EQ(decs.size(), 3u);
 
     const SynthEngine::Stats legacy = engine.stats();
     const MetricsSnapshot snap = metricsSnapshot();
     EXPECT_GT(legacy.restarts_run, 0u);
-    EXPECT_EQ(snap.counterValue("synth.restarts_run"),
+    EXPECT_EQ(counterDelta(before, snap, "synth.restarts_run"),
               legacy.restarts_run);
-    EXPECT_EQ(snap.counterValue("synth.restarts_pruned"),
+    EXPECT_EQ(counterDelta(before, snap, "synth.restarts_pruned"),
               legacy.restarts_pruned);
-    EXPECT_EQ(snap.counterValue("synth.restarts_failed"),
+    EXPECT_EQ(counterDelta(before, snap, "synth.restarts_failed"),
               legacy.restarts_failed);
-    EXPECT_EQ(snap.counterValue("synth.batches"), 1u);
-    EXPECT_EQ(snap.counterValue("synth.requests"), 3u);
+    EXPECT_EQ(legacy.batches, 1u);
+    EXPECT_EQ(legacy.requests, 3u);
+    EXPECT_EQ(legacy.jobs, 2u);
+    EXPECT_EQ(counterDelta(before, snap, "synth.batches"), 1u);
+    EXPECT_EQ(counterDelta(before, snap, "synth.requests"), 3u);
+    EXPECT_EQ(counterDelta(before, snap, "synth.jobs"), 2u);
 }
 
 TEST_F(ObsTest, RegistryCountersMatchLegacyServiceStats)
 {
-    MetricsRegistry::instance().reset();
+    const MetricsSnapshot before = metricsSnapshot();
     CompileService service(tinyServiceOptions());
     service.start({quadSpec(11), quadSpec(12)});
     for (const CompileRequest &req : requestMix()) {
@@ -353,38 +385,198 @@ TEST_F(ObsTest, RegistryCountersMatchLegacyServiceStats)
     const CompileServiceStats legacy = service.snapshot();
     const MetricsSnapshot snap = metricsSnapshot();
     EXPECT_EQ(legacy.submitted, 8u);
-    EXPECT_EQ(snap.counterValue("serve.submitted"), legacy.submitted);
-    EXPECT_EQ(snap.counterValue("serve.admitted"), legacy.admitted);
-    EXPECT_EQ(snap.counterValue("serve.rejected"), legacy.rejected);
-    EXPECT_EQ(snap.counterValue("serve.completed"), legacy.completed);
-    EXPECT_EQ(snap.counterValue("serve.failed"), legacy.failed);
-    EXPECT_EQ(snap.counterValue("serve.batches"), legacy.batches);
+    EXPECT_EQ(counterDelta(before, snap, "serve.submitted"),
+              legacy.submitted);
+    EXPECT_EQ(counterDelta(before, snap, "serve.admitted"),
+              legacy.admitted);
+    EXPECT_EQ(counterDelta(before, snap, "serve.rejected"),
+              legacy.rejected);
+    EXPECT_EQ(counterDelta(before, snap, "serve.completed"),
+              legacy.completed);
+    EXPECT_EQ(counterDelta(before, snap, "serve.failed"), legacy.failed);
+    EXPECT_EQ(counterDelta(before, snap, "serve.batches"),
+              legacy.batches);
 
-    // Shared-cache mirrors track the cache's own counters.
+    // The service's cache is the only one that moved.
     const DecompositionCache::Stats cache =
         service.driver().cache().stats();
-    EXPECT_EQ(snap.counterValue("cache.hits"), cache.hits);
-    EXPECT_EQ(snap.counterValue("cache.misses"), cache.misses);
+    EXPECT_EQ(counterDelta(before, snap, "cache.hits"), cache.hits);
+    EXPECT_EQ(counterDelta(before, snap, "cache.misses"), cache.misses);
 
     // Latency histograms saw every served request.
-    bool found_compile_hist = false;
-    for (const auto &hv : snap.histograms) {
-        if (hv.name == "serve.compile_us") {
-            found_compile_hist = true;
-            EXPECT_EQ(hv.hist.count(), legacy.completed);
-        }
-    }
-    EXPECT_TRUE(found_compile_hist);
+    EXPECT_EQ(histogramCount(snap, "serve.compile_us")
+                  - histogramCount(before, "serve.compile_us"),
+              legacy.completed);
 
-    // The exporters render every registered metric.
+    // The exporter renders every registered metric.
     const std::string text = snap.text();
     EXPECT_NE(text.find("serve.submitted"), std::string::npos);
     EXPECT_NE(text.find("serve.compile_us"), std::string::npos);
-    const std::string json = snap.json();
-    EXPECT_NE(json.find("\"serve.submitted\":8"), std::string::npos);
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
     service.stop();
+}
+
+TEST_F(ObsTest, RegistrySumsLiveEngines)
+{
+    const MetricsSnapshot before = metricsSnapshot();
+    SynthEngine a(1);
+    SynthEngine b(1);
+    DecompositionCache cache_a;
+    DecompositionCache cache_b;
+    a.synthesizeBatch(swapCnotRequests(), cache_a, cheapSynth());
+    b.synthesizeBatch(swapCnotRequests(), cache_b, cheapSynth());
+    b.synthesizeBatch(swapCnotRequests(), cache_b, cheapSynth());
+
+    const MetricsSnapshot snap = metricsSnapshot();
+    const SynthEngine::Stats sa = a.stats();
+    const SynthEngine::Stats sb = b.stats();
+    EXPECT_EQ(sa.batches, 1u);
+    EXPECT_EQ(sb.batches, 2u);
+    EXPECT_EQ(counterDelta(before, snap, "synth.batches"),
+              sa.batches + sb.batches);
+    EXPECT_EQ(counterDelta(before, snap, "synth.requests"),
+              sa.requests + sb.requests);
+    EXPECT_EQ(counterDelta(before, snap, "synth.restarts_run"),
+              sa.restarts_run + sb.restarts_run);
+    EXPECT_EQ(counterDelta(before, snap, "cache.misses"),
+              cache_a.misses() + cache_b.misses());
+    EXPECT_EQ(counterDelta(before, snap, "cache.hits"),
+              cache_a.hits() + cache_b.hits());
+}
+
+TEST_F(ObsTest, RegistryKeepsDestroyedEngineCounts)
+{
+    const MetricsSnapshot before = metricsSnapshot();
+    SynthEngine::Stats gone;
+    DecompositionCache::Stats gone_cache;
+    {
+        SynthEngine engine(1);
+        DecompositionCache cache;
+        engine.synthesizeBatch(swapCnotRequests(), cache, cheapSynth());
+        gone = engine.stats();
+        gone_cache = cache.stats();
+    }
+    const MetricsSnapshot after = metricsSnapshot();
+    EXPECT_GT(gone.restarts_run, 0u);
+    EXPECT_EQ(counterDelta(before, after, "synth.batches"), 1u);
+    EXPECT_EQ(counterDelta(before, after, "synth.restarts_run"),
+              gone.restarts_run);
+    EXPECT_EQ(counterDelta(before, after, "synth.restarts_pruned"),
+              gone.restarts_pruned);
+    EXPECT_EQ(counterDelta(before, after, "cache.misses"),
+              gone_cache.misses);
+    EXPECT_EQ(counterDelta(before, after, "cache.publishes"),
+              gone_cache.publishes);
+}
+
+TEST_F(ObsTest, DormantInstancesListNoNames)
+{
+    // A name is listed once an instance owning it counted something,
+    // so instances that saw no event leave the table as it was.
+    const MetricsSnapshot before = metricsSnapshot();
+    MetricsSnapshot during;
+    {
+        SynthEngine engine(1);
+        DecompositionCache cache;
+        cache.clear();
+        during = metricsSnapshot();
+    }
+    const MetricsSnapshot after = metricsSnapshot();
+    const auto unchanged = [&before](const MetricsSnapshot &snap) {
+        ASSERT_EQ(snap.counters.size(), before.counters.size());
+        for (size_t k = 0; k < before.counters.size(); ++k) {
+            EXPECT_EQ(snap.counters[k].name, before.counters[k].name);
+            EXPECT_EQ(snap.counters[k].value, before.counters[k].value);
+        }
+    };
+    unchanged(during);
+    unchanged(after);
+}
+
+TEST_F(ObsTest, CacheTotalsNeverDecreaseAcrossClear)
+{
+    const MetricsSnapshot before = metricsSnapshot();
+    SynthEngine engine(1);
+    DecompositionCache cache;
+    engine.synthesizeBatch(swapCnotRequests(), cache, cheapSynth());
+    const DecompositionCache::Stats first = cache.stats();
+    EXPECT_EQ(first.misses, 2u);
+    EXPECT_EQ(first.hits, 1u);
+
+    cache.clear();
+    const MetricsSnapshot cleared = metricsSnapshot();
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().misses, 0u);
+    EXPECT_EQ(counterDelta(before, cleared, "cache.hits"), first.hits);
+    EXPECT_EQ(counterDelta(before, cleared, "cache.misses"),
+              first.misses);
+
+    // A fresh cycle counts from zero in stats() and on top of the
+    // retired counts in the registry.
+    engine.synthesizeBatch(swapCnotRequests(), cache, cheapSynth());
+    const MetricsSnapshot after = metricsSnapshot();
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(counterDelta(before, after, "cache.hits"),
+              first.hits + cache.stats().hits);
+    EXPECT_EQ(counterDelta(before, after, "cache.misses"),
+              first.misses + cache.stats().misses);
+}
+
+TEST_F(ObsTest, SnapshotWhileInstancesComeAndGo)
+{
+    // Warm one class so the churned engines' batches are all hits:
+    // the loop below exercises registration, not synthesis.
+    ThreadPool pool(1);
+    DecompositionCache warm;
+    const std::vector<SynthRequest> reqs = {
+        {0, swapGate(), sqrtIswapGate()}};
+    SynthEngine(pool).synthesizeBatch(reqs, warm, cheapSynth());
+
+    const char *const watched[] = {"synth.batches", "synth.requests",
+                                   "cache.hits", "cache.misses",
+                                   "cache.abandons"};
+    constexpr int kRounds = 200;
+    const MetricsSnapshot before = metricsSnapshot();
+    std::atomic<bool> done{false};
+    std::thread churn([&] {
+        for (int i = 0; i < kRounds; ++i) {
+            SynthEngine engine(pool);
+            engine.synthesizeBatch(reqs, warm, cheapSynth());
+            DecompositionCache cache;
+            const DecompositionCache::ClassKey key{
+                static_cast<uint64_t>(i), 0, 0, 0};
+            const TwoQubitDecomposition *dec = nullptr;
+            cache.acquire(key, 0, 2, &dec);
+            cache.abandon(key);
+            if (i % 2 == 0)
+                cache.clear();
+        }
+        done.store(true);
+    });
+    std::vector<uint64_t> last(std::size(watched), 0);
+    int snapshots = 0;
+    while (!done.load()) {
+        const MetricsSnapshot snap = metricsSnapshot();
+        for (size_t k = 0; k < std::size(watched); ++k) {
+            const uint64_t v = snap.counterValue(watched[k]);
+            EXPECT_GE(v, last[k]) << watched[k] << " decreased";
+            last[k] = v;
+        }
+        ++snapshots;
+    }
+    churn.join();
+    EXPECT_GT(snapshots, 0);
+
+    const MetricsSnapshot after = metricsSnapshot();
+    EXPECT_EQ(counterDelta(before, after, "synth.batches"),
+              static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(counterDelta(before, after, "synth.requests"),
+              static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(counterDelta(before, after, "cache.misses"),
+              static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(counterDelta(before, after, "cache.hits"),
+              2u * static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(counterDelta(before, after, "cache.abandons"),
+              static_cast<uint64_t>(kRounds));
 }
 
 // --- Zero-perturbation: tracing ON vs OFF ---------------------------

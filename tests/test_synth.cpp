@@ -6,6 +6,7 @@
  * the depth-prediction fast path.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -357,6 +358,63 @@ TEST(CanonicalKakForCache, ExactDressingAndClassStability)
             * Mat4::kron(randomSU2(rng), randomSU2(rng));
         const CanonicalKak cd = canonicalKakDecompose(dressed);
         EXPECT_LT(ck.coords.distance(cd.coords), 1e-9);
+    }
+
+    // The chamber boundary, where canonicalization has to break ties
+    // (the tz = 0 mirror, coincident coordinates): each point is
+    // checked bare and under two random local dressings.
+    const auto check = [&rng](const CartanCoords &p, const Mat4 &u) {
+        const CartanCoords want = canonicalize(p);
+        for (int d = 0; d < 3; ++d) {
+            const Mat4 g =
+                d == 0 ? u
+                       : Mat4::kron(randomSU2(rng), randomSU2(rng)) * u
+                             * Mat4::kron(randomSU2(rng),
+                                          randomSU2(rng));
+            const CanonicalKak ck = canonicalKakDecompose(g);
+            EXPECT_LT(ck.reconstruct().maxAbsDiff(g), 1e-9) << p.str();
+            EXPECT_TRUE(inCanonicalChamber(ck.coords, 1e-8)) << p.str();
+            EXPECT_LT(ck.coords.distance(want), 1e-9) << p.str();
+            EXPECT_LT(ck.coords.distance(cartanCoords(g)), 1e-8)
+                << p.str();
+        }
+    };
+    const auto checkCoords = [&check](const CartanCoords &p) {
+        check(p, canonicalGate(p.tx, p.ty, p.tz));
+    };
+
+    // Corners, as the named gates and as CAN at the named coords.
+    check(coords::identity0(), Mat4::identity());
+    check(coords::cnot(), cnotGate());
+    check(coords::iswap(), iswapGate());
+    check(coords::swap(), swapGate());
+    check(coords::sqrtSwap(), sqrtSwapGate());
+    for (const CartanCoords &c :
+         {coords::identity0(), coords::identity1(), coords::cnot(),
+          coords::iswap(), coords::swap(), coords::sqrtSwap()})
+        checkCoords(c);
+
+    // Edges, t in [0, 1/2] on a fixed grid.
+    for (int k = 0; k <= 10; ++k) {
+        const double t = 0.05 * k;
+        checkCoords({t, 0.0, 0.0});             // I -- CNOT
+        checkCoords({t, t, 0.0});               // I -- iSWAP
+        checkCoords({t, t, t});                 // I -- SWAP
+        checkCoords({0.5, t, 0.0});             // CNOT -- iSWAP
+        checkCoords({0.5, 0.5, t});             // iSWAP -- SWAP
+        checkCoords({1.0 - t, t, t});           // I' -- SWAP
+    }
+
+    // Faces, at random points.
+    for (int i = 0; i < 16; ++i) {
+        const double a = 0.5 * rng.uniform();
+        const double b = rng.uniform();
+        checkCoords({a, b * a, 0.0});           // tz = 0
+        const double x = rng.uniform();
+        checkCoords({x, b * std::min(x, 1.0 - x),
+                     b * std::min(x, 1.0 - x)}); // ty = tz
+        checkCoords({a, a, b * a});             // tx = ty
+        checkCoords({1.0 - a, a, b * a});       // tx + ty = 1
     }
 }
 
