@@ -39,10 +39,11 @@ main()
     TextTable table({"criterion", "basis (ns)", "SWAP (ns)",
                      "CNOT (ns)", "SWAP layers", "CNOT layers",
                      "min ep"});
+    ThreadPool tuneup_pool;
     for (SelectionCriterion crit : criteria) {
         const CalibratedBasisSet set =
             calibrateDevice(device, kStrongXi, crit,
-                            criterionName(crit), copts);
+                            criterionName(crit), tuneup_pool, copts);
         DecompositionCache cache;
         const GateSetSummary s = summarizeGateSet(
             device, set, {SynthEngine::shared(), cache}, SynthOptions{},

@@ -38,15 +38,16 @@ main()
 
     setLogLevel(LogLevel::Warn);
 
+    ThreadPool tuneup_pool;
     const CalibratedBasisSet baseline = calibrateDevice(
         device, kBaselineXi, SelectionCriterion::Criterion1,
-        "baseline", calibrationOptions(130.0));
+        "baseline", tuneup_pool, calibrationOptions(130.0));
     const CalibratedBasisSet crit1 = calibrateDevice(
         device, kStrongXi, SelectionCriterion::Criterion1,
-        "criterion1", calibrationOptions(30.0));
+        "criterion1", tuneup_pool, calibrationOptions(30.0));
     const CalibratedBasisSet crit2 = calibrateDevice(
         device, kStrongXi, SelectionCriterion::Criterion2,
-        "criterion2", calibrationOptions(30.0));
+        "criterion2", tuneup_pool, calibrationOptions(30.0));
 
     const SynthOptions synth;
     SynthEngine &engine = SynthEngine::shared();

@@ -31,15 +31,16 @@ main()
                 "nonstandard xi = 0.04)...\n",
                 device.coupling().edges().size());
 
+    ThreadPool tuneup_pool;
     DeviceCalibrationOptions copts;
     copts.max_ns = 130.0;
     const CalibratedBasisSet baseline = calibrateDevice(
         device, 0.005, SelectionCriterion::Criterion1, "baseline",
-        copts);
+        tuneup_pool, copts);
     copts.max_ns = 30.0;
     const CalibratedBasisSet nonstandard = calibrateDevice(
         device, 0.04, SelectionCriterion::Criterion2, "criterion2",
-        copts);
+        tuneup_pool, copts);
 
     TextTable edges({"edge", "baseline (ns)", "nonstandard (ns)",
                      "nonstandard coords"});

@@ -1,8 +1,11 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <optional>
 
 #include "noise/coherence.hpp"
+#include "obs/trace.hpp"
 #include "synth/engine.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
@@ -10,11 +13,69 @@
 
 namespace qbasis {
 
+namespace {
+
+/** One edge's tuneup and the window doublings it needed. */
+struct EdgeTuneup
+{
+    EdgeCalibration cal;
+    int extensions = 0;
+};
+
+/**
+ * Tune edge `eid`: bias search, drive-frequency scan, trajectory and
+ * basis selection. A pure function of the edge's parameters, its
+ * drift stream and `opts`, so edges can run in any order.
+ */
+EdgeTuneup
+calibrateEdge(const GridDevice &device, size_t eid, double xi,
+              SelectionCriterion criterion,
+              const DeviceCalibrationOptions &opts)
+{
+    PairDeviceParams params = device.edgeParams(static_cast<int>(eid));
+    if (opts.apply_drift) {
+        // Per-edge derived stream: drifted parameters do not depend
+        // on edge order or on edge_limit.
+        Rng rng(Rng::deriveSeed(opts.drift_seed, eid));
+        params = driftParams(params, opts.drift, rng);
+    }
+    const PairSimulator sim(params, device.couplerOmegaMax(), opts.sim);
+
+    EdgeTuneup tuneup;
+    EdgeCalibration &cal = tuneup.cal;
+    cal.edge_id = static_cast<int>(eid);
+    cal.xi = xi;
+    cal.omega_c0 = sim.omegaC0();
+    cal.zz_residual = sim.zzResidual();
+    cal.omega_d = sim.calibrateDriveFrequency(xi);
+
+    double window = opts.max_ns;
+    std::optional<SelectedBasisGate> sel;
+    int ext = 0;
+    for (; ext <= opts.max_extensions && !sel; ++ext) {
+        const Trajectory traj =
+            sim.simulateTrajectory(xi, cal.omega_d, window);
+        sel = selectBasisGate(traj, criterion, opts.selector);
+        window *= 2.0;
+    }
+    if (!sel) {
+        fatal("edge %zu: no basis gate satisfied criterion '%s' "
+              "within %.0f ns", eid, criterionName(criterion).c_str(),
+              window / 2.0);
+    }
+    cal.gate = *sel;
+    tuneup.extensions = ext - 1;
+    return tuneup;
+}
+
+} // namespace
+
 CalibratedBasisSet
 calibrateDevice(const GridDevice &device, double xi,
                 SelectionCriterion criterion, const std::string &label,
-                const DeviceCalibrationOptions &opts)
+                ThreadPool &pool, const DeviceCalibrationOptions &opts)
 {
+    const auto t0 = std::chrono::steady_clock::now();
     const CouplingMap &cm = device.coupling();
     const size_t n_edges = cm.edges().size();
     const size_t simulate_edges =
@@ -29,49 +90,23 @@ calibrateDevice(const GridDevice &device, double xi,
     set.edges.resize(n_edges);
     set.bases.resize(n_edges);
 
-    for (size_t eid = 0; eid < simulate_edges; ++eid) {
-        PairDeviceParams params =
-            device.edgeParams(static_cast<int>(eid));
-        if (opts.apply_drift) {
-            // Per-edge derived stream: drifted parameters do not
-            // depend on edge order or on edge_limit.
-            Rng rng(Rng::deriveSeed(opts.drift_seed, eid));
-            params = driftParams(params, opts.drift, rng);
-        }
-        const PairSimulator sim(params, device.couplerOmegaMax(),
-                                opts.sim);
-
-        EdgeCalibration cal;
-        cal.edge_id = static_cast<int>(eid);
-        cal.xi = xi;
-        cal.omega_c0 = sim.omegaC0();
-        cal.zz_residual = sim.zzResidual();
-        cal.omega_d = sim.calibrateDriveFrequency(xi);
-
-        double window = opts.max_ns;
-        std::optional<SelectedBasisGate> sel;
-        for (int ext = 0; ext <= opts.max_extensions && !sel; ++ext) {
-            const Trajectory traj =
-                sim.simulateTrajectory(xi, cal.omega_d, window);
-            sel = selectBasisGate(traj, criterion, opts.selector);
-            window *= 2.0;
-        }
-        if (!sel) {
-            fatal("edge %zu: no basis gate satisfied criterion '%s' "
-                  "within %.0f ns", eid,
-                  criterionName(criterion).c_str(), window / 2.0);
-        }
-        cal.gate = *sel;
-        set.edges[eid] = cal;
-        set.bases[eid].gate = sel->gate;
-        set.bases[eid].duration_ns = sel->duration_ns;
+    // Edges are independent: each task writes only its own index.
+    // Pool closures re-establish the caller's request correlation
+    // (as synth/engine.cpp does) so calib.edge spans stay on its
+    // track.
+    std::vector<int> extensions(simulate_edges, 0);
+    const uint64_t corr = currentTraceCorrelation();
+    pool.parallelFor(simulate_edges, [&](size_t eid) {
+        TraceCorrelation correlation(corr);
+        QBASIS_TRACE_SCOPE("calib.edge", "edge", eid);
+        const EdgeTuneup tuneup =
+            calibrateEdge(device, eid, xi, criterion, opts);
+        set.edges[eid] = tuneup.cal;
+        set.bases[eid].gate = tuneup.cal.gate.gate;
+        set.bases[eid].duration_ns = tuneup.cal.gate.duration_ns;
         set.bases[eid].label = label;
-
-        if ((eid + 1) % 20 == 0) {
-            inform("[%s] calibrated %zu/%zu edges", label.c_str(),
-                   eid + 1, simulate_edges);
-        }
-    }
+        extensions[eid] = tuneup.extensions;
+    });
 
     // Fast mode: replicate calibrated edges round-robin so the basis
     // table stays complete for the transpiler.
@@ -81,6 +116,17 @@ calibrateDevice(const GridDevice &device, double xi,
         set.edges[eid].edge_id = static_cast<int>(eid);
         set.bases[eid] = set.bases[src];
     }
+
+    int total_extensions = 0;
+    for (int e : extensions)
+        total_extensions += e;
+    inform("[%s] calibrated %zu/%zu edges, %d window extensions, "
+           "%.0f ms", label.c_str(), simulate_edges, n_edges,
+           total_extensions,
+           std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+               .count());
+    flushRepeatedWarnings();
     return set;
 }
 

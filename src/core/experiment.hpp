@@ -20,6 +20,7 @@
 #include "sim/propagator.hpp"
 #include "synth/engine.hpp"
 #include "transpile/pipeline.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qbasis {
 
@@ -73,10 +74,21 @@ struct DeviceCalibrationOptions
 /**
  * Calibrate a basis gate on every edge of the device at amplitude
  * `xi` using the given selection criterion.
+ *
+ * Each simulated edge (bias search, drive-frequency scan, trajectory,
+ * basis selection) is one `pool` task. An edge reads nothing but its
+ * own parameters, its drift stream and `opts`, and its result is
+ * written at its own index, so the set is bit-identical for any pool
+ * size. A failing edge throws after every edge has run; when several
+ * fail, the lowest edge id's error is the one thrown.
+ *
+ * Precondition: not called from a worker of `pool` (the call blocks
+ * until every edge task is done).
  */
 CalibratedBasisSet calibrateDevice(const GridDevice &device, double xi,
                                    SelectionCriterion criterion,
                                    const std::string &label,
+                                   ThreadPool &pool,
                                    const DeviceCalibrationOptions &opts
                                    = {});
 

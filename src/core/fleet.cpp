@@ -325,8 +325,11 @@ FleetDriver::FleetDriver(FleetOptions opts)
 CalibratedBasisSet
 FleetDriver::calibrateSpec(int device_id, const FleetDeviceSpec &spec,
                            const GridDevice &device,
-                           const std::string &label) const
+                           const std::string &label)
 {
+    QBASIS_TRACE_SCOPE("calib.tuneup", "device",
+                       static_cast<uint64_t>(device_id), "edges",
+                       device.coupling().edges().size());
     DeviceCalibrationOptions calib = opts_.calib;
     if (spec.apply_drift) {
         calib.apply_drift = true;
@@ -335,8 +338,10 @@ FleetDriver::calibrateSpec(int device_id, const FleetDeviceSpec &spec,
                                            static_cast<uint64_t>(
                                                device_id));
     }
+    // Shard threads and the service thread call this, never a pool
+    // worker, so the edge fan-out below cannot block a worker.
     return calibrateDevice(device, spec.xi, spec.criterion, label,
-                           calib);
+                           pool_, calib);
 }
 
 FleetDeviceReport
@@ -459,8 +464,12 @@ FleetDriver::forEachDeviceSharded(
         static_cast<size_t>(shards));
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(shards));
+    // Shard threads keep the caller's request correlation, so the
+    // spans of a traced pass stay on the caller's track.
+    const uint64_t corr = currentTraceCorrelation();
     for (int s = 0; s < shards; ++s) {
-        threads.emplace_back([s, shards, n_devices, &fn, &errors] {
+        threads.emplace_back([s, shards, n_devices, corr, &fn, &errors] {
+            TraceCorrelation correlation(corr);
             try {
                 for (int d = s; d < n_devices; d += shards)
                     fn(d);
@@ -552,6 +561,7 @@ FleetDriver::drainRecalibration()
 {
     if (recalib_)
         recalib_->drain();
+    flushRepeatedWarnings();
 }
 
 RecalibScheduler::Stats

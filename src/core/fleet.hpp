@@ -14,7 +14,9 @@
  * device, lands in the shared cache keyed by (basis hash, options,
  * Weyl class) -- so two devices with byte-identical bases (replicated
  * hardware, or a device whose drift left an edge unchanged)
- * synthesize each class exactly once fleet-wide.
+ * synthesize each class exactly once fleet-wide. A device's
+ * calibration tuneup runs its edges as tasks on the same pool, so
+ * one device saturates the workers.
  *
  * Determinism: per-device work only reads fleet-global state through
  * the shared cache, whose published entries are pure functions of
@@ -493,17 +495,20 @@ class FleetDriver
     runDevice(int device_id, const FleetDeviceSpec &spec,
               const std::vector<FleetCircuit> &circuits);
 
+    /** Tune one device, its edges fanned over pool_ (see
+     *  calibrateDevice()). Never call from a pool_ worker. */
     CalibratedBasisSet calibrateSpec(int device_id,
                                      const FleetDeviceSpec &spec,
                                      const GridDevice &device,
-                                     const std::string &label) const;
+                                     const std::string &label);
 
     RecalibScheduler &scheduler();
 
     /** Run fn(device_id) for device ids [0, n), dealt round-robin
      *  onto opts_.shards shard threads; collects per-shard errors
      *  and rethrows the first in shard order (~ first failing
-     *  device order). */
+     *  device order). Shards inherit the caller's trace
+     *  correlation. */
     void forEachDeviceSharded(
         size_t n, const std::function<void(int)> &fn) const;
 

@@ -3,6 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -45,6 +48,33 @@ emit(const char *prefix, const std::string &msg)
     std::fprintf(stderr, "[%11.3f] [T%02u] %s%s\n",
                  logElapsedMs() / 1000.0, threadLogId(), prefix,
                  msg.c_str());
+}
+
+/** First message and counted repeats of one warn() format. */
+struct RepeatedWarning
+{
+    std::string first;
+    uint64_t repeats = 0;
+};
+
+/** Formats warn() printed since the last flushRepeatedWarnings(). */
+struct WarningLedger
+{
+    std::mutex mutex;
+    std::map<std::string, RepeatedWarning> by_format;
+};
+
+/** Never destroyed, so warnings from static destructors and the
+ *  at-exit flush always find it alive. */
+WarningLedger &
+warningLedger()
+{
+    static WarningLedger *const ledger = [] {
+        auto *l = new WarningLedger;
+        std::atexit(flushRepeatedWarnings);
+        return l;
+    }();
+    return *ledger;
 }
 
 } // namespace
@@ -94,10 +124,41 @@ warn(const char *fmt, ...)
 {
     if (g_level < LogLevel::Warn)
         return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("warn: ", vformat(fmt, ap));
-    va_end(ap);
+    std::string msg;
+    {
+        WarningLedger &ledger = warningLedger();
+        std::lock_guard<std::mutex> lock(ledger.mutex);
+        auto [it, first] = ledger.by_format.try_emplace(fmt);
+        if (!first) {
+            ++it->second.repeats;
+            return;
+        }
+        va_list ap;
+        va_start(ap, fmt);
+        msg = vformat(fmt, ap);
+        va_end(ap);
+        it->second.first = msg;
+    }
+    emit("warn: ", msg);
+}
+
+void
+flushRepeatedWarnings()
+{
+    std::map<std::string, RepeatedWarning> drained;
+    {
+        WarningLedger &ledger = warningLedger();
+        std::lock_guard<std::mutex> lock(ledger.mutex);
+        drained.swap(ledger.by_format);
+    }
+    if (g_level < LogLevel::Warn)
+        return;
+    for (const auto &[fmt, w] : drained) {
+        if (w.repeats > 0)
+            emit("warn: ",
+                 strformat("%s (%llu more like this)", w.first.c_str(),
+                           static_cast<unsigned long long>(w.repeats)));
+    }
 }
 
 void

@@ -41,8 +41,24 @@ LogLevel logLevel();
 /** Print an informational message (printf formatting). */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Print a warning about questionable-but-survivable conditions. */
+/**
+ * Print a warning about questionable-but-survivable conditions.
+ *
+ * Only the first warning per format string is printed; later ones
+ * with the same format are counted until flushRepeatedWarnings().
+ * A warning that fires on every edge of a lattice, from several pool
+ * workers at once, is one line plus one count instead of dozens of
+ * interleaved lines.
+ */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/**
+ * Print one `<first message> (N more like this)` line per format
+ * string whose repeats warn() counted, then forget every format so
+ * the next warning of each prints again. Called after each device
+ * tuneup and recalibration drain, and once at process exit.
+ */
+void flushRepeatedWarnings();
 
 /** Print a debug trace message (only at LogLevel::Debug). */
 void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

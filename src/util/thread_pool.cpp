@@ -179,11 +179,19 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
         });
     }
 
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->done.wait(lock, [&] { return state->remaining.load() == 0; });
-    for (size_t i = 0; i < n; ++i) {
-        if (state->errors[i])
-            std::rethrow_exception(state->errors[i]);
+    // Take the errors out under the lock: a worker may still hold the
+    // last reference to `state`, and the exceptions must not be freed
+    // on its thread while the caller is reading the one rethrown.
+    std::vector<std::exception_ptr> errors;
+    {
+        std::unique_lock<std::mutex> lock(state->mutex);
+        state->done.wait(lock,
+                         [&] { return state->remaining.load() == 0; });
+        errors.swap(state->errors);
+    }
+    for (const std::exception_ptr &err : errors) {
+        if (err)
+            std::rethrow_exception(err);
     }
 }
 

@@ -153,11 +153,19 @@ class SmallDeviceExperiment : public ::testing::Test
         return dev;
     }
 
+    static ThreadPool &
+    pool()
+    {
+        static ThreadPool p(2);
+        return p;
+    }
+
     static const CalibratedBasisSet &
     nonstandardSet()
     {
         static const CalibratedBasisSet set = calibrateDevice(
-            device(), 0.04, SelectionCriterion::Criterion1, "ns-c1");
+            device(), 0.04, SelectionCriterion::Criterion1, "ns-c1",
+            pool());
         return set;
     }
 
@@ -169,7 +177,7 @@ class SmallDeviceExperiment : public ::testing::Test
         static const CalibratedBasisSet set =
             calibrateDevice(device(), 0.005,
                             SelectionCriterion::Criterion1,
-                            "baseline", opts);
+                            "baseline", pool(), opts);
         return set;
     }
 };
@@ -283,7 +291,8 @@ TEST_F(SmallDeviceExperiment, FastModeReplicatesEdges)
     opts.edge_limit = 1;
     const CalibratedBasisSet set =
         calibrateDevice(device(), 0.04,
-                        SelectionCriterion::Criterion1, "fast", opts);
+                        SelectionCriterion::Criterion1, "fast", pool(),
+                        opts);
     ASSERT_EQ(set.bases.size(), device().coupling().edges().size());
     for (size_t i = 1; i < set.bases.size(); ++i) {
         EXPECT_DOUBLE_EQ(set.bases[i].duration_ns,

@@ -7,6 +7,9 @@
  */
 
 #include <atomic>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -47,6 +50,56 @@ tinySpec(uint64_t grid_seed)
     spec.grid.seed = grid_seed;
     spec.xi = 0.04;
     return spec;
+}
+
+/** Drifted 2x3 grid (7 edges): every edge has its own qubit
+ *  frequencies and drift stream, so a tuneup runs seven distinct
+ *  edge simulations. */
+FleetDeviceSpec
+multiEdgeSpec(uint64_t grid_seed)
+{
+    FleetDeviceSpec spec;
+    spec.grid.rows = 2;
+    spec.grid.cols = 3;
+    spec.grid.seed = grid_seed;
+    spec.xi = 0.04;
+    spec.apply_drift = true;
+    return spec;
+}
+
+/** One shard over a `threads`-worker pool, with the bench-scale
+ *  simulator settings of bench_scale and bench_recalib. */
+FleetOptions
+multiEdgeFleetOptions(int threads)
+{
+    FleetOptions opts;
+    opts.shards = 1;
+    opts.threads = threads;
+    opts.synth = cheapSynth();
+    opts.calib.sim.dt = 0.01;
+    opts.calib.sim.probe_dt = 0.04;
+    opts.calib.sim.probe_duration = 60.0;
+    opts.calib.sim.drive_scan_points = 7;
+    return opts;
+}
+
+uint64_t
+bits(double x)
+{
+    uint64_t u = 0;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+void
+expectMat4BitIdentical(const Mat4 &a, const Mat4 &b)
+{
+    for (int i = 0; i < 4; ++i) {
+        for (int j = 0; j < 4; ++j) {
+            EXPECT_EQ(bits(a(i, j).real()), bits(b(i, j).real()));
+            EXPECT_EQ(bits(a(i, j).imag()), bits(b(i, j).imag()));
+        }
+    }
 }
 
 FleetOptions
@@ -382,6 +435,75 @@ TEST_F(FleetTest, BitDeterministicAcrossShardCounts)
         EXPECT_GT(dev.circuits[0].result.fidelity, 0.0);
         EXPECT_LE(dev.circuits[0].result.fidelity, 1.0);
         EXPECT_GT(dev.circuits[0].result.two_qubit_gates, 0u);
+    }
+}
+
+TEST_F(FleetTest, ParallelTuneupBitIdenticalAcrossPoolSizes)
+{
+    // The tuneup fans a device's edges over the fleet pool; a 1- and
+    // a 4-worker pool must produce the same calibration bit for bit.
+    FleetDriver serial(multiEdgeFleetOptions(1));
+    const FleetReport a = serial.run({multiEdgeSpec(7)});
+    FleetDriver parallel(multiEdgeFleetOptions(4));
+    const FleetReport b = parallel.run({multiEdgeSpec(7)});
+    ASSERT_EQ(a.failedDevices(), 0u) << a.statuses[0].error;
+    ASSERT_EQ(b.failedDevices(), 0u) << b.statuses[0].error;
+
+    const CalibratedBasisSet &sa = a.devices[0].set;
+    const CalibratedBasisSet &sb = b.devices[0].set;
+    ASSERT_GE(sa.edges.size(), 6u);
+    ASSERT_EQ(sa.edges.size(), sb.edges.size());
+    ASSERT_EQ(sa.bases.size(), sb.bases.size());
+    for (size_t e = 0; e < sa.edges.size(); ++e) {
+        SCOPED_TRACE("edge " + std::to_string(e));
+        const EdgeCalibration &ea = sa.edges[e];
+        const EdgeCalibration &eb = sb.edges[e];
+        EXPECT_EQ(ea.edge_id, static_cast<int>(e));
+        EXPECT_EQ(ea.edge_id, eb.edge_id);
+        EXPECT_EQ(bits(ea.xi), bits(eb.xi));
+        EXPECT_EQ(bits(ea.omega_d), bits(eb.omega_d));
+        EXPECT_EQ(bits(ea.omega_c0), bits(eb.omega_c0));
+        EXPECT_EQ(bits(ea.zz_residual), bits(eb.zz_residual));
+        EXPECT_EQ(ea.calibrated_cycle, eb.calibrated_cycle);
+        EXPECT_EQ(ea.gate.index, eb.gate.index);
+        EXPECT_EQ(bits(ea.gate.duration_ns), bits(eb.gate.duration_ns));
+        expectMat4BitIdentical(ea.gate.gate, eb.gate.gate);
+        EXPECT_EQ(bits(ea.gate.coords.tx), bits(eb.gate.coords.tx));
+        EXPECT_EQ(bits(ea.gate.coords.ty), bits(eb.gate.coords.ty));
+        EXPECT_EQ(bits(ea.gate.coords.tz), bits(eb.gate.coords.tz));
+        EXPECT_EQ(bits(ea.gate.leakage), bits(eb.gate.leakage));
+        EXPECT_EQ(bits(ea.gate.continuous_crossing_ns),
+                  bits(eb.gate.continuous_crossing_ns));
+
+        expectMat4BitIdentical(sa.bases[e].gate, sb.bases[e].gate);
+        EXPECT_EQ(bits(sa.bases[e].duration_ns),
+                  bits(sb.bases[e].duration_ns));
+        EXPECT_EQ(sa.bases[e].label, sb.bases[e].label);
+    }
+    // Drift gives the edges distinct calibrations, so a mix-up of
+    // edge indices could not pass the comparison above.
+    EXPECT_NE(bits(sa.edges[0].omega_d), bits(sa.edges[1].omega_d));
+    EXPECT_EQ(fleetReportDigest(a), fleetReportDigest(b));
+}
+
+TEST_F(FleetTest, TuneupFailureNamesLowestEdge)
+{
+    // A 1 ns window with no extensions fails every edge; the error
+    // thrown must be edge 0's at any pool size.
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        FleetOptions opts = multiEdgeFleetOptions(threads);
+        opts.calib.max_ns = 1.0;
+        opts.calib.max_extensions = 0;
+        FleetDriver driver(opts);
+        try {
+            driver.initDevices({multiEdgeSpec(7)});
+            ADD_FAILURE() << "tuneup did not fail";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("edge 0:"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

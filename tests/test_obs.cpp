@@ -653,6 +653,56 @@ TEST_F(ObsTest, TracingDoesNotPerturbFleetReportDigest)
     EXPECT_EQ(on_digest, off_digest);
 }
 
+// --- Initial tuneup spans -------------------------------------------
+
+TEST_F(ObsTest, TracedTuneupRecordsOneDeviceSpanAndOneSpanPerEdge)
+{
+    FleetOptions fopts;
+    fopts.shards = 1;
+    fopts.threads = 3;
+    fopts.calib.sim.dt = 0.01;
+    fopts.calib.sim.probe_dt = 0.04;
+    fopts.calib.sim.probe_duration = 60.0;
+    fopts.calib.sim.drive_scan_points = 7;
+    FleetDeviceSpec spec = quadSpec(11);
+    spec.grid.cols = 3; // 2x3 grid: 7 edges
+
+    ScopedTraceEnable trace;
+    FleetDriver driver(fopts);
+    {
+        // The edge tasks run on pool workers; the caller's request
+        // correlation must follow them across the hop.
+        TraceCorrelation correlation(77);
+        driver.initDevices({spec});
+    }
+    ASSERT_EQ(traceDroppedEvents(), 0u);
+
+    const size_t n_edges =
+        driver.device(0).device.coupling().edges().size();
+    ASSERT_EQ(n_edges, 7u);
+    size_t tuneups = 0;
+    std::set<uint64_t> edges_seen;
+    size_t edge_spans = 0;
+    for (const TraceEvent &ev : traceSnapshot()) {
+        const std::string name(ev.name);
+        if (name == "calib.tuneup") {
+            ++tuneups;
+            EXPECT_EQ(std::string(ev.arg_names[0]), "device");
+            EXPECT_EQ(ev.arg_values[0], 0u);
+            EXPECT_EQ(std::string(ev.arg_names[1]), "edges");
+            EXPECT_EQ(ev.arg_values[1], n_edges);
+        } else if (name == "calib.edge") {
+            ++edge_spans;
+            EXPECT_EQ(std::string(ev.arg_names[0]), "edge");
+            edges_seen.insert(ev.arg_values[0]);
+            EXPECT_EQ(ev.correlation, 77u);
+        }
+    }
+    EXPECT_EQ(tuneups, 1u);
+    EXPECT_EQ(edge_spans, n_edges);
+    EXPECT_EQ(edges_seen.size(), n_edges);
+}
+
 // --- Request-id correlation admit -> ... -> cache publish -----------
 
 TEST_F(ObsTest, RequestIdPropagatesFromAdmitToCachePublish)

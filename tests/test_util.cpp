@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "util/logging.hpp"
@@ -266,6 +267,65 @@ TEST(Logging, PanicThrowsLogicError)
 TEST(Logging, StrformatFormats)
 {
     EXPECT_EQ(strformat("x=%d y=%.1f", 3, 2.5), "x=3 y=2.5");
+}
+
+/** Occurrences of `needle` in `haystack`. */
+size_t
+countOf(const std::string &haystack, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t pos = haystack.find(needle); pos != std::string::npos;
+         pos = haystack.find(needle, pos + 1))
+        ++n;
+    return n;
+}
+
+TEST(Logging, RepeatedWarningsCollapseIntoOneCountedLine)
+{
+    const LogLevel saved = logLevel();
+    setLogLevel(LogLevel::Warn);
+    flushRepeatedWarnings(); // start from an empty ledger
+
+    testing::internal::CaptureStderr();
+    for (int i = 0; i < 5; ++i)
+        warn("collapse-test repeat %d", i);
+    warn("collapse-test single %s", "once");
+    flushRepeatedWarnings();
+    // A flush forgets the format: the next repeat prints again.
+    warn("collapse-test repeat %d", 9);
+    flushRepeatedWarnings();
+    const std::string err = testing::internal::GetCapturedStderr();
+    setLogLevel(saved);
+
+    EXPECT_EQ(countOf(err, "\n"), 4u) << err;
+    EXPECT_EQ(countOf(err, "warn: collapse-test repeat 0\n"), 1u);
+    for (int i = 1; i < 5; ++i)
+        EXPECT_EQ(countOf(err, strformat("repeat %d", i)), 0u) << err;
+    EXPECT_EQ(countOf(err, "collapse-test repeat 0 (4 more like this)"),
+              1u)
+        << err;
+    // A warning printed once gets no count line.
+    EXPECT_EQ(countOf(err, "collapse-test single once\n"), 1u) << err;
+    EXPECT_EQ(countOf(err, "warn: collapse-test repeat 9\n"), 1u);
+}
+
+TEST(Logging, ConcurrentRepeatsAreCountedExactly)
+{
+    const LogLevel saved = logLevel();
+    setLogLevel(LogLevel::Warn);
+    flushRepeatedWarnings();
+
+    testing::internal::CaptureStderr();
+    ThreadPool pool(4);
+    pool.parallelFor(200, [](size_t i) {
+        warn("collapse-test concurrent %zu", i);
+    });
+    flushRepeatedWarnings();
+    const std::string err = testing::internal::GetCapturedStderr();
+    setLogLevel(saved);
+
+    EXPECT_EQ(countOf(err, "\n"), 2u) << err;
+    EXPECT_EQ(countOf(err, "(199 more like this)"), 1u) << err;
 }
 
 } // namespace
