@@ -8,6 +8,41 @@
 
 namespace qbasis {
 
+namespace {
+
+/*
+ * The rotation updates are std::complex<double> arithmetic written
+ * out on the interleaved doubles, operation for operation:
+ * (a + ib)(c + id) = (ac - bd) + i(ad + bc), conj(sp) as a negated
+ * imaginary part, the real cosine scaling each part. That keeps
+ * every result bit-identical to the std::complex code
+ * (tests/sim_reference.hpp) without its NaN-recovery branches.
+ */
+
+/**
+ * Columns p and q of the row-major n x n matrix `m` (interleaved
+ * re/im) times the rotation R: m(k,p) <- c m(k,p) - conj(sp) m(k,q),
+ * m(k,q) <- sp m(k,p) + c m(k,q).
+ */
+void
+rotateColumns(double *m, size_t n, size_t p, size_t q, double c,
+              double spr, double spi)
+{
+    const double cspi = -spi; // conj(sp)
+    for (size_t k = 0; k < n; ++k) {
+        double *kp = m + 2 * (k * n + p);
+        double *kq = m + 2 * (k * n + q);
+        const double pr = kp[0], pi = kp[1];
+        const double qr = kq[0], qi = kq[1];
+        kp[0] = c * pr - (spr * qr - cspi * qi);
+        kp[1] = c * pi - (spr * qi + cspi * qr);
+        kq[0] = (spr * pr - spi * pi) + c * qr;
+        kq[1] = (spr * pi + spi * pr) + c * qi;
+    }
+}
+
+} // namespace
+
 HermEig
 jacobiEigHerm(const CMat &h_in, double tol)
 {
@@ -21,6 +56,10 @@ jacobiEigHerm(const CMat &h_in, double tol)
             a(i, j) = 0.5 * (h_in(i, j) + std::conj(h_in(j, i)));
 
     CMat v = CMat::identity(n);
+    // A std::complex<double> array may be accessed as interleaved
+    // re/im doubles ([complex.numbers]).
+    double *ad = reinterpret_cast<double *>(a.data());
+    double *vd = reinterpret_cast<double *>(v.data());
     const double scale = std::max(a.frobeniusNorm(), 1e-300);
 
     const int max_sweeps = 100;
@@ -52,26 +91,22 @@ jacobiEigHerm(const CMat &h_in, double tol)
                 const double s = t * c;
                 const Complex sp = s * phase;
 
-                // Columns update: A <- A * R
-                for (size_t k = 0; k < n; ++k) {
-                    const Complex akp = a(k, p);
-                    const Complex akq = a(k, q);
-                    a(k, p) = c * akp - std::conj(sp) * akq;
-                    a(k, q) = sp * akp + c * akq;
-                }
+                const double spr = sp.real();
+                const double spi = sp.imag();
+                rotateColumns(ad, n, p, q, c, spr, spi); // A <- A * R
                 // Rows update: A <- R^dag * A
+                double *rp = ad + 2 * (p * n);
+                double *rq = ad + 2 * (q * n);
+                const double cspi = -spi; // conj(sp)
                 for (size_t k = 0; k < n; ++k) {
-                    const Complex apk = a(p, k);
-                    const Complex aqk = a(q, k);
-                    a(p, k) = c * apk - sp * aqk;
-                    a(q, k) = std::conj(sp) * apk + c * aqk;
+                    const double pr = rp[2 * k], pi = rp[2 * k + 1];
+                    const double qr = rq[2 * k], qi = rq[2 * k + 1];
+                    rp[2 * k] = c * pr - (spr * qr - spi * qi);
+                    rp[2 * k + 1] = c * pi - (spr * qi + spi * qr);
+                    rq[2 * k] = (spr * pr - cspi * pi) + c * qr;
+                    rq[2 * k + 1] = (spr * pi + cspi * pr) + c * qi;
                 }
-                for (size_t k = 0; k < n; ++k) {
-                    const Complex vkp = v(k, p);
-                    const Complex vkq = v(k, q);
-                    v(k, p) = c * vkp - std::conj(sp) * vkq;
-                    v(k, q) = sp * vkp + c * vkq;
-                }
+                rotateColumns(vd, n, p, q, c, spr, spi); // V <- V * R
             }
         }
     }

@@ -18,6 +18,13 @@
  * static diagonal Hamiltonian (phases carried by per-coupling
  * rotors), so the RK4 step is limited by the detunings rather than
  * by the ~5 GHz qubit frequencies.
+ *
+ * Both the calibration probes and the trajectory run one RK4 kernel
+ * over a split-complex panel (separate re/im arrays, one column per
+ * state): the trajectory's four computational columns, or one
+ * column per probed drive frequency. Every split expression keeps
+ * the operation order of the std::complex arithmetic it replaced,
+ * so results do not depend on the panel width.
  */
 
 #include "sim/bias.hpp"
@@ -72,10 +79,14 @@ class PairSimulator
 
     /**
      * Peak |<10|psi(t)>|^2 from |01> over the probe window -- the
-     * "population swapping" score used by the drive calibration.
+     * "population swapping" score used by the drive calibration --
+     * for each drive frequency in `omegas`, integrated as one panel
+     * with a column per frequency. Entry k depends only on
+     * omegas[k], not on the other entries or on how many there are.
      */
-    double swapTransferScore(double xi, double omega_d,
-                             double duration_ns, double dt) const;
+    std::vector<double> swapTransferScores(
+        double xi, const std::vector<double> &omegas,
+        double duration_ns, double dt) const;
 
     /**
      * Integrate the driven evolution and sample the effective 2Q

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -655,7 +656,9 @@ TEST_F(ObsTest, TracingDoesNotPerturbFleetReportDigest)
 
 // --- Initial tuneup spans -------------------------------------------
 
-TEST_F(ObsTest, TracedTuneupRecordsOneDeviceSpanAndOneSpanPerEdge)
+/** Coarse-step calibration options for the traced tuneups. */
+FleetOptions
+tuneupFleetOptions()
 {
     FleetOptions fopts;
     fopts.shards = 1;
@@ -664,17 +667,26 @@ TEST_F(ObsTest, TracedTuneupRecordsOneDeviceSpanAndOneSpanPerEdge)
     fopts.calib.sim.probe_dt = 0.04;
     fopts.calib.sim.probe_duration = 60.0;
     fopts.calib.sim.drive_scan_points = 7;
+    return fopts;
+}
+
+/** Tune a 2x3 grid (7 edges) under request correlation 77. */
+void
+tracedSevenEdgeTuneup(FleetDriver &driver)
+{
     FleetDeviceSpec spec = quadSpec(11);
     spec.grid.cols = 3; // 2x3 grid: 7 edges
+    // The edge tasks run on pool workers; the caller's request
+    // correlation must follow them across the hop.
+    TraceCorrelation correlation(77);
+    driver.initDevices({spec});
+}
 
+TEST_F(ObsTest, TracedTuneupRecordsOneDeviceSpanAndOneSpanPerEdge)
+{
     ScopedTraceEnable trace;
-    FleetDriver driver(fopts);
-    {
-        // The edge tasks run on pool workers; the caller's request
-        // correlation must follow them across the hop.
-        TraceCorrelation correlation(77);
-        driver.initDevices({spec});
-    }
+    FleetDriver driver(tuneupFleetOptions());
+    tracedSevenEdgeTuneup(driver);
     ASSERT_EQ(traceDroppedEvents(), 0u);
 
     const size_t n_edges =
@@ -701,6 +713,44 @@ TEST_F(ObsTest, TracedTuneupRecordsOneDeviceSpanAndOneSpanPerEdge)
     EXPECT_EQ(tuneups, 1u);
     EXPECT_EQ(edge_spans, n_edges);
     EXPECT_EQ(edges_seen.size(), n_edges);
+}
+
+TEST_F(ObsTest, TracedTuneupRecordsSimStageSpansInsideEachEdge)
+{
+    ScopedTraceEnable trace;
+    FleetDriver driver(tuneupFleetOptions());
+    tracedSevenEdgeTuneup(driver);
+    ASSERT_EQ(traceDroppedEvents(), 0u);
+
+    const std::vector<TraceEvent> events = traceSnapshot();
+    std::vector<const TraceEvent *> edges;
+    for (const TraceEvent &ev : events) {
+        if (std::string(ev.name) == "calib.edge")
+            edges.push_back(&ev);
+    }
+    ASSERT_EQ(edges.size(), 7u);
+    std::map<std::string, size_t> counts;
+    for (const TraceEvent &ev : events) {
+        const std::string name(ev.name);
+        if (name != "sim.bias" && name != "sim.drive_freq"
+            && name != "sim.trajectory")
+            continue;
+        ++counts[name];
+        EXPECT_EQ(ev.correlation, 77u) << name;
+        // Nested in the calib.edge span of its own pool task.
+        bool nested = false;
+        for (const TraceEvent *edge : edges) {
+            nested = nested
+                     || (edge->tid == ev.tid
+                         && edge->start_ns <= ev.start_ns
+                         && ev.start_ns + ev.dur_ns
+                                <= edge->start_ns + edge->dur_ns);
+        }
+        EXPECT_TRUE(nested) << name;
+    }
+    EXPECT_EQ(counts["sim.bias"], 7u);
+    EXPECT_EQ(counts["sim.drive_freq"], 7u);
+    EXPECT_GE(counts["sim.trajectory"], 7u);
 }
 
 // --- Request-id correlation admit -> ... -> cache publish -----------

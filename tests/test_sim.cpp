@@ -3,14 +3,17 @@
  * Tests for the device-simulation library: flux curve, Hamiltonian
  * structure, zero-ZZ bias search, dressed states, propagator frames
  * (identity without drive), trajectory physics (XY at weak drive,
- * speed linear in amplitude), integrator convergence, and the grid
- * device sampling.
+ * speed linear in amplitude), integrator convergence, the grid
+ * device sampling, and bit identity of the split-complex RK4 panel
+ * and Jacobi rotations against the std::complex reference
+ * (sim_reference.hpp).
  */
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "calib/drift.hpp"
 #include "linalg/eig_herm.hpp"
 #include "sim/bias.hpp"
 #include "sim/device.hpp"
@@ -19,6 +22,8 @@
 #include "sim/propagator.hpp"
 #include "util/rng.hpp"
 #include "weyl/invariants.hpp"
+
+#include "sim_reference.hpp"
 
 namespace qbasis {
 namespace {
@@ -278,9 +283,10 @@ TEST(Propagator, SwapTransferPeaksOnResonance)
 {
     const PairSimulator &sim = testSimulator();
     const double wd = sim.dressedSplitting();
-    const double on = sim.swapTransferScore(0.01, wd, 120.0, 0.02);
-    const double off =
-        sim.swapTransferScore(0.01, wd + ghz(0.15), 120.0, 0.02);
+    const std::vector<double> scores =
+        sim.swapTransferScores(0.01, {wd, wd + ghz(0.15)}, 120.0, 0.02);
+    const double on = scores[0];
+    const double off = scores[1];
     EXPECT_GT(on, 0.5);
     EXPECT_LT(off, 0.5 * on);
 }
@@ -337,6 +343,182 @@ TEST(Device, DeterministicPerSeed)
     const GridDevice da(a), db(b), dc(c);
     EXPECT_DOUBLE_EQ(da.qubitFrequency(13), db.qubitFrequency(13));
     EXPECT_NE(da.qubitFrequency(13), dc.qubitFrequency(13));
+}
+
+// --- Split-complex kernels vs the std::complex reference -------------
+
+/** Calibration settings of the lattice benches (coarser steps). */
+SimOptions
+latticeSimOptions()
+{
+    SimOptions opts;
+    opts.dt = 0.01;
+    opts.probe_dt = 0.04;
+    opts.probe_duration = 60.0;
+    opts.drive_scan_points = 7;
+    return opts;
+}
+
+/** hh(3,6) heavy-hex lattice, frequency seed 17. */
+const GridDevice &
+heavyHexDevice()
+{
+    static const GridDevice dev = [] {
+        GridDeviceParams gp;
+        gp.topology = DeviceTopology::HeavyHex;
+        gp.rows = 3;
+        gp.cols = 6;
+        gp.seed = 17;
+        return GridDevice(gp);
+    }();
+    return dev;
+}
+
+/** Edge `e` of heavyHexDevice() with its own drift stream. */
+PairDeviceParams
+driftedHeavyHexCell(int e)
+{
+    Rng rng(Rng::deriveSeed(17, static_cast<uint64_t>(e)));
+    return driftParams(heavyHexDevice().edgeParams(e), DriftModel{},
+                       rng);
+}
+
+TEST(SimReference, DriftedHeavyHexCellsMatchBitForBit)
+{
+    const GridDevice &dev = heavyHexDevice();
+    const double xi = 0.04;
+    for (int e = 0; e < 12; ++e) {
+        SCOPED_TRACE("edge " + std::to_string(e));
+        const PairSimulator sim(driftedHeavyHexCell(e),
+                                dev.couplerOmegaMax(),
+                                latticeSimOptions());
+        const ReferenceSim ref(sim, dev.couplerOmegaMax());
+
+        // The bias point's spectrum.
+        const CMat h =
+            sim.hamiltonian().staticHamiltonian(sim.omegaC0());
+        EXPECT_TRUE(eigBitIdentical(jacobiEigHerm(h),
+                                    referenceJacobiEigHerm(h)));
+
+        // One probe panel against one reference probe per column.
+        const double center = sim.dressedSplitting();
+        std::vector<double> omegas;
+        for (int k = -3; k <= 3; ++k)
+            omegas.push_back(center + 0.1 * k);
+        const std::vector<double> scores =
+            sim.swapTransferScores(xi, omegas, 42.5, 0.04);
+        ASSERT_EQ(scores.size(), omegas.size());
+        for (size_t k = 0; k < omegas.size(); ++k) {
+            EXPECT_TRUE(bitsEqual(
+                scores[k],
+                ref.swapTransferScore(xi, omegas[k], 42.5, 0.04)))
+                << "omega " << k;
+        }
+
+        // The batched scan picks the reference's frequency, and the
+        // trajectory matches point for point.
+        const double wd = sim.calibrateDriveFrequency(xi);
+        EXPECT_TRUE(bitsEqual(wd, ref.calibrateDriveFrequency(xi)));
+        EXPECT_TRUE(trajectoriesBitIdentical(
+            sim.simulateTrajectory(xi, wd, 20.0),
+            ref.trajectory(xi, wd, 20.0)));
+    }
+}
+
+TEST(SimReference, LongTrajectoryCrossesRotorRenormalization)
+{
+    // 45 ns at dt = 0.005 is 9000 steps: past the rotor
+    // renormalization at step 8192.
+    const PairSimulator &sim = testSimulator();
+    const ReferenceSim ref(sim, testDevice().couplerOmegaMax());
+    const double wd = sim.dressedSplitting();
+    const Trajectory got = sim.simulateTrajectory(0.01, wd, 45.0);
+    ASSERT_GT(45.0 / sim.options().dt, 8192.0);
+    EXPECT_TRUE(
+        trajectoriesBitIdentical(got, ref.trajectory(0.01, wd, 45.0)));
+}
+
+TEST(SimReference, ScoresDoNotDependOnPanelWidth)
+{
+    const PairSimulator sim(driftedHeavyHexCell(3),
+                            heavyHexDevice().couplerOmegaMax(),
+                            latticeSimOptions());
+    const double center = sim.dressedSplitting();
+    std::vector<double> ws;
+    for (int k = 0; k < 9; ++k)
+        ws.push_back(center - 0.2 + 0.05 * k);
+    const std::vector<double> batch =
+        sim.swapTransferScores(0.04, ws, 42.5, 0.04);
+    ASSERT_EQ(batch.size(), ws.size());
+    for (size_t k = 0; k < ws.size(); ++k) {
+        const std::vector<double> one =
+            sim.swapTransferScores(0.04, {ws[k]}, 42.5, 0.04);
+        ASSERT_EQ(one.size(), 1u);
+        EXPECT_TRUE(bitsEqual(batch[k], one[0])) << "omega " << k;
+    }
+}
+
+TEST(SimReference, StronglyHybridizedBiasPoint)
+{
+    // Just above the coupler two-photon resonance 2 w_c + a_c =
+    // w_a + w_b, |11> hybridizes with the doubly excited coupler:
+    // the point where dressedComputationalStates warns of a weak
+    // bare overlap.
+    const PairDeviceParams p = driftedHeavyHexCell(0);
+    const PairHamiltonian ham(p);
+    const double omega_c =
+        0.5 * (p.qubit_a.omega + p.qubit_b.omega - p.coupler.alpha)
+        + 0.3;
+    const CMat h = ham.staticHamiltonian(omega_c);
+    const HermEig got = jacobiEigHerm(h);
+    EXPECT_TRUE(eigBitIdentical(got, referenceJacobiEigHerm(h)));
+
+    const int bare11 = ham.computationalIndices()[3];
+    double best = 0.0;
+    for (size_t e = 0; e < got.values.size(); ++e)
+        best = std::max(best, std::norm(got.vectors(bare11, e)));
+    EXPECT_LT(best, 0.5);
+}
+
+TEST(SimReference, JacobiMatchesOnRandomHermitian)
+{
+    Rng rng(4242);
+    for (const int n : {4, 9, 27}) {
+        for (int trial = 0; trial < 3; ++trial) {
+            CMat h(n, n);
+            for (int i = 0; i < n; ++i) {
+                h(i, i) = rng.normal();
+                for (int j = 0; j < i; ++j) {
+                    const Complex v(rng.normal(), rng.normal());
+                    h(i, j) = v;
+                    h(j, i) = std::conj(v);
+                }
+            }
+            EXPECT_TRUE(eigBitIdentical(jacobiEigHerm(h),
+                                        referenceJacobiEigHerm(h)))
+                << "n=" << n << " trial " << trial;
+        }
+    }
+}
+
+TEST(SimReference, JacobiMatchesOnDiagonalAndSparseInput)
+{
+    for (const int n : {4, 9, 27}) {
+        // Diagonal: converged before the first rotation.
+        CMat d(n, n);
+        for (int i = 0; i < n; ++i)
+            d(i, i) = Complex(std::cos(1.7 * i), 0.0);
+        EXPECT_TRUE(eigBitIdentical(jacobiEigHerm(d),
+                                    referenceJacobiEigHerm(d)))
+            << "diagonal n=" << n;
+        // One coupled pair: every other pivot takes the zero skip.
+        CMat s = d;
+        s(0, n - 1) = Complex(0.3, -0.2);
+        s(n - 1, 0) = Complex(0.3, 0.2);
+        EXPECT_TRUE(eigBitIdentical(jacobiEigHerm(s),
+                                    referenceJacobiEigHerm(s)))
+            << "sparse n=" << n;
+    }
 }
 
 } // namespace
