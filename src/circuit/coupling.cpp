@@ -30,20 +30,19 @@ CouplingMap::CouplingMap(int num_qubits,
     edges_ = std::move(edge_list);
 
     adjacency_.assign(num_qubits_, {});
-    edge_id_.assign(num_qubits_, std::vector<int>(num_qubits_, -1));
+    edge_id_.assign(num_qubits_ * num_qubits_, -1);
     for (size_t id = 0; id < edges_.size(); ++id) {
         const auto [a, b] = edges_[id];
         adjacency_[a].push_back(b);
         adjacency_[b].push_back(a);
-        edge_id_[a][b] = static_cast<int>(id);
-        edge_id_[b][a] = static_cast<int>(id);
+        edge_id_[a * num_qubits_ + b] = static_cast<int>(id);
+        edge_id_[b * num_qubits_ + a] = static_cast<int>(id);
     }
 
     // All-pairs BFS.
-    distance_.assign(num_qubits_,
-                     std::vector<int>(num_qubits_, 1 << 28));
+    distance_.assign(num_qubits_ * num_qubits_, 1 << 28);
     for (int src = 0; src < num_qubits_; ++src) {
-        auto &dist = distance_[src];
+        int *dist = &distance_[src * num_qubits_];
         dist[src] = 0;
         std::deque<int> queue{src};
         while (!queue.empty()) {
@@ -137,14 +136,14 @@ CouplingMap::edgeId(int a, int b) const
 {
     if (a < 0 || b < 0 || a >= num_qubits_ || b >= num_qubits_)
         return -1;
-    return edge_id_[a][b];
+    return edge_id_[a * num_qubits_ + b];
 }
 
 bool
 CouplingMap::isConnected() const
 {
     for (int q = 0; q < num_qubits_; ++q)
-        if (distance_[0][q] >= (1 << 28))
+        if (distance_[q] >= (1 << 28))
             return false;
     return true;
 }

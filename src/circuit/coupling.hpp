@@ -8,6 +8,7 @@
  * heuristic's cost function).
  */
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -62,8 +63,16 @@ class CouplingMap
     /** BFS hop distance between two qubits. */
     int distance(int a, int b) const
     {
-        return distance_.at(a).at(b);
+        if (a < 0 || b < 0 || a >= num_qubits_ || b >= num_qubits_)
+            throw std::out_of_range("CouplingMap::distance");
+        return distance_[a * num_qubits_ + b];
     }
+
+    /** Hop distance of (a, b) at a * numQubits() + b. */
+    const std::vector<int> &distanceTable() const { return distance_; }
+
+    /** Edge id of (a, b) at a * numQubits() + b; -1 if uncoupled. */
+    const std::vector<int> &edgeIdTable() const { return edge_id_; }
 
     /** True when the graph is connected. */
     bool isConnected() const;
@@ -72,8 +81,8 @@ class CouplingMap
     int num_qubits_;
     std::vector<std::pair<int, int>> edges_;
     std::vector<std::vector<int>> adjacency_;
-    std::vector<std::vector<int>> edge_id_;   // dense lookup
-    std::vector<std::vector<int>> distance_;  // BFS all-pairs
+    std::vector<int> edge_id_;   // dense lookup, row-major
+    std::vector<int> distance_;  // BFS all-pairs, row-major
 };
 
 } // namespace qbasis

@@ -44,7 +44,10 @@ namespace qbasis {
 
 namespace obs_detail {
 extern std::atomic<bool> g_trace_enabled;
-extern thread_local uint64_t g_trace_correlation;
+// Defined inline (C++17) rather than extern: every TU sees the
+// constant initializer, so no TLS wrapper call is emitted -- GCC's
+// UBSan misreports the extern form's wrapper as a null load/store.
+inline thread_local uint64_t g_trace_correlation = 0;
 } // namespace obs_detail
 
 /** True while spans are being recorded (relaxed read; hot path). */

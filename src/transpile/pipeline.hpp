@@ -47,9 +47,9 @@ struct TranspileResult
  * @param cm       device coupling graph.
  * @param bases    per-edge basis gates (indexed by edge id).
  * @param client   synthesis route (engine + Weyl-class cache).
- * @param captured_routing  when non-null, receives a copy of the
- *        routed circuit (with its source map) so the caller can
- *        capture a transpile plan (see transpile/plan.hpp).
+ * @param captured_routing  when non-null, receives the routed
+ *        circuit (with its source map) so the caller can capture a
+ *        transpile plan (see transpile/plan.hpp).
  */
 TranspileResult transpileCircuit(const Circuit &logical,
                                  const CouplingMap &cm,

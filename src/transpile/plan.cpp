@@ -6,27 +6,8 @@
 #include "transpile/merge_1q.hpp"
 #include "util/fnv.hpp"
 #include "util/logging.hpp"
-#include "weyl/gates.hpp"
 
 namespace qbasis {
-
-namespace {
-
-/** Mirror of basis_translate's target orientation: lo-qubit-first. */
-Mat4
-orientedPlanTarget(const Gate &g, const CouplingMap &cm, int eid)
-{
-    const auto [lo, hi] = cm.edges()[static_cast<size_t>(eid)];
-    (void)hi;
-    Mat4 target = g.matrix4();
-    if (g.qubits[0] != lo) {
-        const Mat4 s = swapGate();
-        target = s * target * s;
-    }
-    return target;
-}
-
-} // namespace
 
 uint64_t
 structuralCircuitHash(const Circuit &c)
@@ -115,23 +96,17 @@ captureTranspilePlan(PlanKey key, const RoutedCircuit &routed,
         plan.ops.push_back(op);
     }
 
-    // Class keys of the routed 2Q gates, in circuit order. 1Q merging
-    // never touches 2Q gates, so this matches the translated
-    // circuit's 2Q sequence exactly.
-    for (const Gate &g : routed.circuit.gates()) {
-        if (!g.isTwoQubit())
-            continue;
-        const int eid = cm.edgeId(g.qubits[0], g.qubits[1]);
-        if (eid < 0)
-            panic("plan capture: routed 2Q gate on uncoupled pair "
-                  "(%d, %d)",
-                  g.qubits[0], g.qubits[1]);
-        const Mat4 target = orientedPlanTarget(g, cm, eid);
-        const CanonicalKak kak = canonicalKakDecompose(target);
+    // Class keys of the routed 2Q gates, in circuit order, from the
+    // same oriented targets translation synthesizes. 1Q merging never
+    // touches 2Q gates, so this matches the translated circuit's 2Q
+    // sequence exactly.
+    const std::vector<SynthRequest> requests =
+        collectSynthRequests(routed.circuit, cm, bases);
+    plan.class_keys.reserve(requests.size());
+    for (const SynthRequest &req : requests)
         plan.class_keys.push_back(DecompositionCache::classKey(
-            kak.coords, bases[static_cast<size_t>(eid)].gate,
+            canonicalKakDecompose(req.target).coords, req.basis,
             synth_opts));
-    }
     return plan;
 }
 

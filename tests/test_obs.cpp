@@ -794,6 +794,31 @@ TEST_F(ObsTest, RequestIdPropagatesFromAdmitToCachePublish)
         EXPECT_TRUE(correlated.count(name) != 0)
             << "no span '" << name << "' correlated to request 1";
     }
+
+    // Every full-pipeline compile lays out once, on its own thread and
+    // under its request's id, and merges 1Q runs twice.
+    size_t pipelines = 0;
+    for (const TraceEvent &pipe : events) {
+        if (std::string(pipe.name) != "transpile.pipeline")
+            continue;
+        ++pipelines;
+        EXPECT_NE(pipe.correlation, 0u);
+        std::map<std::string, size_t> inside;
+        for (const TraceEvent &ev : events) {
+            if (ev.tid != pipe.tid || ev.start_ns < pipe.start_ns
+                || ev.start_ns + ev.dur_ns > pipe.start_ns + pipe.dur_ns)
+                continue;
+            const std::string name(ev.name);
+            ++inside[name];
+            if (name == "transpile.layout")
+                EXPECT_EQ(ev.correlation, pipe.correlation);
+        }
+        EXPECT_EQ(inside["transpile.layout"], 1u)
+            << "request " << pipe.correlation;
+        EXPECT_EQ(inside["transpile.merge"], 2u)
+            << "request " << pipe.correlation;
+    }
+    EXPECT_GE(pipelines, 1u);
 }
 
 } // namespace

@@ -3,15 +3,20 @@
  * Tests for the transpiler: coupling maps, SABRE routing validity and
  * semantic equivalence, layout, 1Q merging, basis translation onto
  * per-edge (including nonstandard) basis gates, and the full
- * pipeline.
+ * pipeline; LayoutReference.* holds the shared SABRE core to the
+ * old Gate-copying router bit for bit.
  */
 
 #include <cmath>
+#include <cstring>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "apps/qft.hpp"
+#include "apps/workloads.hpp"
 #include "circuit/schedule.hpp"
 #include "circuit/unitary.hpp"
 #include "linalg/random.hpp"
@@ -20,6 +25,7 @@
 #include "util/rng.hpp"
 #include "weyl/gates.hpp"
 
+#include "layout_reference.hpp"
 #include "synth_reference.hpp"
 
 namespace qbasis {
@@ -488,6 +494,161 @@ TEST(CouplingMap, HeavyHexEdgeColoringBound)
         max_color = std::max(max_color, c);
     }
     EXPECT_LE(max_color + 1, 4);
+}
+
+
+// --- LayoutReference: the shared SABRE core against the old router --
+
+/** The four devices the bit-identity cases run on. */
+std::vector<std::pair<std::string, CouplingMap>>
+referenceDevices()
+{
+    return {{"hh(3,6)", CouplingMap::heavyHex(3, 6)},
+            {"hh(2,4)", CouplingMap::heavyHex(2, 4)},
+            {"grid(5,5)", CouplingMap::grid(5, 5)},
+            {"line(8)", CouplingMap::line(8)}};
+}
+
+/** rcs, adder_chain, ising and heisenberg at widths 4..16, plus qft. */
+std::vector<std::pair<std::string, Circuit>>
+referenceZoo()
+{
+    std::vector<std::pair<std::string, Circuit>> zoo;
+    for (const char *name : {"rcs", "adder_chain", "ising", "heisenberg"})
+        for (int width = 4; width <= 16; width += 2) {
+            WorkloadParams p;
+            p.qubits = width;
+            p.depth = 2;
+            p.seed = 100 + static_cast<uint64_t>(width);
+            zoo.emplace_back(name + std::to_string(width),
+                             makeWorkload(name, p));
+        }
+    for (int width : {4, 8, 12, 16})
+        zoo.emplace_back("qft" + std::to_string(width),
+                         qftCircuit(width));
+    return zoo;
+}
+
+/** Default options, other seeds, and a short and an empty lookahead. */
+std::vector<SabreOptions>
+referenceOptions()
+{
+    std::vector<SabreOptions> all(4);
+    all[1].seed = 1;
+    all[2].seed = 977;
+    all[2].extended_set_size = 5;
+    all[2].decay_reset_interval = 2;
+    all[3].seed = 31;
+    all[3].extended_set_size = 0;
+    return all;
+}
+
+bool
+bitsEqual(const Complex &a, const Complex &b)
+{
+    return std::memcmp(&a, &b, sizeof(Complex)) == 0;
+}
+
+void
+expectSameRouting(const RoutedCircuit &got, const RoutedCircuit &want,
+                  const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(got.initial_layout, want.initial_layout);
+    EXPECT_EQ(got.final_layout, want.final_layout);
+    EXPECT_EQ(got.swaps_inserted, want.swaps_inserted);
+    EXPECT_EQ(got.sources, want.sources);
+    ASSERT_EQ(got.circuit.numQubits(), want.circuit.numQubits());
+    ASSERT_EQ(got.circuit.size(), want.circuit.size());
+    for (size_t i = 0; i < got.circuit.size(); ++i) {
+        const Gate &a = got.circuit.gates()[i];
+        const Gate &b = want.circuit.gates()[i];
+        ASSERT_EQ(a.kind, b.kind) << "gate " << i;
+        ASSERT_EQ(a.qubits, b.qubits) << "gate " << i;
+        ASSERT_EQ(a.params.size(), b.params.size()) << "gate " << i;
+        for (size_t k = 0; k < a.params.size(); ++k)
+            EXPECT_EQ(std::memcmp(&a.params[k], &b.params[k],
+                                  sizeof(double)),
+                      0)
+                << "gate " << i;
+        EXPECT_EQ(a.label, b.label) << "gate " << i;
+        for (int r = 0; r < 4; ++r)
+            for (int c = 0; c < 4; ++c)
+                EXPECT_TRUE(bitsEqual(a.custom4(r, c), b.custom4(r, c)))
+                    << "gate " << i;
+        for (int r = 0; r < 2; ++r)
+            for (int c = 0; c < 2; ++c)
+                EXPECT_TRUE(bitsEqual(a.custom2(r, c), b.custom2(r, c)))
+                    << "gate " << i;
+    }
+}
+
+/** Layout, then routing from that layout, against the reference. */
+void
+expectSameLayoutAndRoute(const Circuit &c, const CouplingMap &cm,
+                         const SabreOptions &opts,
+                         const std::string &what)
+{
+    const std::vector<int> layout = sabreLayout(c, cm, 3, opts);
+    ASSERT_EQ(layout,
+              layout_reference::referenceSabreLayout(c, cm, 3, opts))
+        << what;
+    expectSameRouting(
+        sabreRoute(c, cm, layout, opts),
+        layout_reference::referenceSabreRoute(c, cm, layout, opts),
+        what);
+}
+
+TEST(LayoutReference, ZooMatchesOnEveryDeviceAndSeed)
+{
+    const auto devices = referenceDevices();
+    const auto zoo = referenceZoo();
+    const auto options = referenceOptions();
+    size_t cases = 0;
+    for (const auto &[dev, cm] : devices)
+        for (const auto &[name, c] : zoo) {
+            if (c.numQubits() > cm.numQubits())
+                continue;
+            for (size_t o = 0; o < options.size(); ++o) {
+                expectSameLayoutAndRoute(
+                    c, cm, options[o],
+                    name + " on " + dev + ", options " + std::to_string(o));
+                ++cases;
+            }
+        }
+    EXPECT_GE(cases, 400u);
+}
+
+TEST(LayoutReference, ZeroSwapCircuitTakesTheEarlyExit)
+{
+    // A nearest-neighbor chain routes from the trivial layout with no
+    // SWAP, so the first forward pass ends the layout search.
+    const CouplingMap cm = CouplingMap::line(8);
+    Circuit c(8);
+    for (int q = 0; q + 1 < 8; ++q) {
+        c.h(q);
+        c.cx(q, q + 1);
+    }
+    EXPECT_EQ(sabreRoute(c, cm, trivialLayout(8)).swaps_inserted, 0u);
+    EXPECT_EQ(sabreLayout(c, cm), trivialLayout(8));
+    for (const SabreOptions &opts : referenceOptions())
+        expectSameLayoutAndRoute(c, cm, opts, "nearest-neighbor chain");
+}
+
+TEST(LayoutReference, OneQubitOnlyAndEmptyCircuits)
+{
+    const CouplingMap cm = CouplingMap::grid(5, 5);
+    Circuit one_qubit(6);
+    for (int q = 0; q < 6; ++q) {
+        one_qubit.h(q);
+        one_qubit.rz(q, 0.1 * q);
+    }
+    expectSameLayoutAndRoute(one_qubit, cm, {}, "1Q-only circuit");
+    expectSameLayoutAndRoute(Circuit(5), cm, {}, "empty circuit");
+    const RoutedCircuit empty = sabreRoute(Circuit(5), cm,
+                                           trivialLayout(5));
+    EXPECT_EQ(empty.circuit.size(), 0u);
+    EXPECT_EQ(empty.final_layout, trivialLayout(5));
 }
 
 } // namespace
