@@ -136,7 +136,7 @@ CouplingMap::edgeId(int a, int b) const
 {
     if (a < 0 || b < 0 || a >= num_qubits_ || b >= num_qubits_)
         return -1;
-    return edge_id_[a * num_qubits_ + b];
+    return edgeIdAt(a, b);
 }
 
 bool

@@ -65,14 +65,20 @@ class CouplingMap
     {
         if (a < 0 || b < 0 || a >= num_qubits_ || b >= num_qubits_)
             throw std::out_of_range("CouplingMap::distance");
+        return distanceAt(a, b);
+    }
+
+    /** distance() for qubits known to be in range (no check). */
+    int distanceAt(int a, int b) const
+    {
         return distance_[a * num_qubits_ + b];
     }
 
-    /** Hop distance of (a, b) at a * numQubits() + b. */
-    const std::vector<int> &distanceTable() const { return distance_; }
-
-    /** Edge id of (a, b) at a * numQubits() + b; -1 if uncoupled. */
-    const std::vector<int> &edgeIdTable() const { return edge_id_; }
+    /** edgeId() for qubits known to be in range (no check). */
+    int edgeIdAt(int a, int b) const
+    {
+        return edge_id_[a * num_qubits_ + b];
+    }
 
     /** True when the graph is connected. */
     bool isConnected() const;

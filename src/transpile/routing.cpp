@@ -17,19 +17,18 @@ namespace {
 /**
  * Dependency view of a circuit: per gate its qubits (q1 = -1 for 1Q
  * gates) and, in two slots, the next gate on each of its wires in
- * gate order (-1 when none; a successor on both wires fills both).
+ * view order (-1 when none; a successor on both wires fills both).
  * `reversed` views the gates back to front.
  */
 struct SabreDag
 {
     SabreDag(const Circuit &c, bool reversed)
-        : num_qubits(c.numQubits()), q0(c.size()), q1(c.size(), -1),
+        : circuit(c), reversed(reversed), q0(c.size()), q1(c.size(), -1),
           num_preds(c.size(), 0), succ(2 * c.size(), -1)
     {
-        const size_t n = c.size();
-        std::vector<int> last(num_qubits, -1);
-        for (size_t j = 0; j < n; ++j) {
-            const Gate &g = c.gates()[reversed ? n - 1 - j : j];
+        std::vector<int> last(c.numQubits(), -1);
+        for (size_t j = 0; j < size(); ++j) {
+            const Gate &g = gate(static_cast<int>(j));
             q0[j] = g.qubits[0];
             if (g.isTwoQubit())
                 q1[j] = g.qubits[1];
@@ -48,34 +47,38 @@ struct SabreDag
 
     size_t size() const { return q0.size(); }
 
-    int num_qubits;
+    /** Index in `circuit` of view position j. */
+    int source(int j) const
+    {
+        return reversed ? static_cast<int>(size()) - 1 - j : j;
+    }
+
+    const Gate &gate(int j) const { return circuit.gates()[source(j)]; }
+
+    const Circuit &circuit;
+    bool reversed;
     std::vector<int> q0, q1, num_preds, succ;
 };
 
 /**
- * The one SABRE core: routes a SabreDag onto the device, keeping flat
- * distance and edge-id tables and its buffers across passes. With an
- * output it emits the routed gates (sabreRoute); without one it only
- * counts SWAPs and moves the layout (every sabreLayout pass).
+ * The one SABRE core: routes a SabreDag onto the device, keeping its
+ * buffers across passes. With an output it emits the routed gates
+ * (sabreRoute); without one it only counts SWAPs and moves the layout
+ * (every sabreLayout pass).
  */
 class SabreRouter
 {
   public:
-    explicit SabreRouter(const CouplingMap &cm)
-        : cm_(cm), np_(cm.numQubits()), dist_(cm.distanceTable()),
-          edge_id_(cm.edgeIdTable())
-    {
-    }
+    explicit SabreRouter(const CouplingMap &cm) : cm_(cm) {}
 
     /** Route `dag` from `layout` (logical -> physical), leaving the
      *  final layout in it; returns the SWAP count. With `out`, also
-     *  emits the gates of `logical`, the circuit `dag` views. */
+     *  emits the routed gates and their sources. */
     size_t
     route(const SabreDag &dag, std::vector<int> &layout,
-          const SabreOptions &opts, const Circuit *logical = nullptr,
-          RoutedCircuit *out = nullptr)
+          const SabreOptions &opts, RoutedCircuit *out = nullptr)
     {
-        const int nl = dag.num_qubits;
+        const int nl = dag.circuit.numQubits();
         const int np = cm_.numQubits();
         if (nl > np)
             fatal("circuit has %d qubits but device only %d", nl, np);
@@ -85,7 +88,7 @@ class SabreRouter
 
         // layout[l] = physical wire of logical qubit l;
         // inverse[p] = logical qubit on physical wire p (-1 if none).
-        inverse_.assign(np_, -1);
+        inverse_.assign(np, -1);
         for (int l = 0; l < nl; ++l) {
             const int p = layout[l];
             if (p < 0 || p >= np || inverse_[p] >= 0)
@@ -99,10 +102,6 @@ class SabreRouter
             if (inverse_[pb] >= 0)
                 layout[inverse_[pb]] = pb;
         };
-        // Table entry of the wires logical qubits la, lb sit on.
-        auto at = [&](const std::vector<int> &table, int la, int lb) {
-            return table[layout[la] * np_ + layout[lb]];
-        };
 
         preds_ = dag.num_preds;
         front_.clear();
@@ -110,7 +109,7 @@ class SabreRouter
             if (preds_[i] == 0)
                 front_.push_back(static_cast<int>(i));
 
-        decay_.assign(np_, 1.0);
+        decay_.assign(np, 1.0);
         Rng rng(opts.seed);
         int swaps_since_reset = 0;
         size_t swaps = 0;
@@ -131,16 +130,17 @@ class SabreRouter
                 blocked_.clear();
                 for (const int gi : front_) {
                     if (dag.q1[gi] >= 0
-                        && at(edge_id_, dag.q0[gi], dag.q1[gi]) < 0) {
+                        && cm_.edgeIdAt(layout[dag.q0[gi]],
+                                        layout[dag.q1[gi]]) < 0) {
                         blocked_.push_back(gi);
                         continue;
                     }
                     if (out != nullptr) {
-                        Gate g = logical->gates()[gi];
+                        Gate g = dag.gate(gi);
                         for (int &q : g.qubits)
                             q = layout[q];
                         out->circuit.append(std::move(g));
-                        out->sources.push_back(gi);
+                        out->sources.push_back(dag.source(gi));
                     }
                     for (const int s :
                          {dag.succ[2 * gi], dag.succ[2 * gi + 1]})
@@ -171,7 +171,7 @@ class SabreRouter
                 for (const int lq : {dag.q0[gi], dag.q1[gi]}) {
                     const int p = layout[lq];
                     for (const int nb : cm_.neighbors(p))
-                        cand_.push_back(edge_id_[p * np_ + nb]);
+                        cand_.push_back(cm_.edgeIdAt(p, nb));
                     pairs_.push_back(lq);
                 }
             }
@@ -214,9 +214,11 @@ class SabreRouter
                 swapWires(pa, pb);
                 int64_t front_sum = 0, ext_sum = 0;
                 for (size_t i = 0; i < 2 * n_front; i += 2)
-                    front_sum += at(dist_, pairs_[i], pairs_[i + 1]);
+                    front_sum += cm_.distanceAt(layout[pairs_[i]],
+                                                layout[pairs_[i + 1]]);
                 for (size_t i = 2 * n_front; i < pairs_.size(); i += 2)
-                    ext_sum += at(dist_, pairs_[i], pairs_[i + 1]);
+                    ext_sum += cm_.distanceAt(layout[pairs_[i]],
+                                              layout[pairs_[i + 1]]);
                 swapWires(pa, pb);
 
                 const double basic = static_cast<double>(front_sum)
@@ -253,8 +255,6 @@ class SabreRouter
 
   private:
     const CouplingMap &cm_;
-    size_t np_;
-    const std::vector<int> &dist_, &edge_id_; // (a, b) at a * np_ + b
     std::vector<int> inverse_, preds_, front_, next_, blocked_;
     std::vector<int> cand_, walk_, pairs_;
     std::vector<double> decay_;
@@ -270,7 +270,7 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
     out.circuit = Circuit(cm.numQubits());
     out.initial_layout = initial_layout;
     out.swaps_inserted = SabreRouter(cm).route(
-        SabreDag(logical, false), initial_layout, opts, &logical, &out);
+        SabreDag(logical, false), initial_layout, opts, &out);
     out.final_layout = std::move(initial_layout);
     return out;
 }
